@@ -17,10 +17,10 @@
 //!
 //! At full scale the report also climbs the **ddmd ladder**: ddmd recorded
 //! at 3, 30 and 100 iterations, saved as `.dtb` and reloaded, with each
-//! rung's record count, `Analysis::run` cost per record and the process's
-//! peak RSS after the rung. Analysis must stay linear: the cost per record
-//! at the top rung may be at most [`LADDER_RATIO_CEILING`] times the
-//! bottom rung's.
+//! rung's record count, its `.dtb` encode, decode and `Analysis::run`
+//! costs per record and the process's peak RSS after the rung. Analysis
+//! must stay linear: the cost per record at the top rung may be at most
+//! [`LADDER_RATIO_CEILING`] times the bottom rung's.
 //!
 //! ```text
 //! cargo run --release -p dayu-bench -- pipeline [--smoke] [--check] [--out PATH]
@@ -263,6 +263,11 @@ pub struct LadderRung {
     pub iterations: usize,
     /// Total trace records (VFD + VOL + file).
     pub records: u64,
+    /// Fastest of three `to_binary_bytes` of the recorded bundle,
+    /// nanoseconds.
+    pub encode_ns: u64,
+    /// Fastest of three `TraceBundle::load`s of its `.dtb`, nanoseconds.
+    pub decode_ns: u64,
     /// Fastest of three `Analysis::run`s over the reloaded bundle,
     /// nanoseconds.
     pub analysis_ns: u64,
@@ -272,14 +277,29 @@ pub struct LadderRung {
 }
 
 impl LadderRung {
+    fn per_record(&self, ns: u64) -> f64 {
+        ns as f64 / self.records.max(1) as f64
+    }
+
+    /// `.dtb` encode nanoseconds per trace record.
+    pub fn encode_ns_per_record(&self) -> f64 {
+        self.per_record(self.encode_ns)
+    }
+
+    /// `.dtb` decode nanoseconds per trace record.
+    pub fn decode_ns_per_record(&self) -> f64 {
+        self.per_record(self.decode_ns)
+    }
+
     /// `Analysis::run` nanoseconds per trace record.
     pub fn analysis_ns_per_record(&self) -> f64 {
-        self.analysis_ns as f64 / self.records.max(1) as f64
+        self.per_record(self.analysis_ns)
     }
 }
 
 /// Records ddmd at each of `iterations`, saves and reloads the trace in
-/// the binary format only, and times its analysis.
+/// the binary format only, and times the encode, the decode and the
+/// analysis.
 pub fn ddmd_ladder(iterations: &[usize]) -> Vec<LadderRung> {
     iterations
         .iter()
@@ -288,16 +308,19 @@ pub fn ddmd_ladder(iterations: &[usize]) -> Vec<LadderRung> {
                 iterations: n,
                 ..Default::default()
             };
-            let dtb = record(&ddmd::workflow(&dcfg), &MemFs::new())
+            let recorded = record(&ddmd::workflow(&dcfg), &MemFs::new())
                 .expect("record ddmd")
-                .bundle
-                .to_binary_bytes();
-            let bundle = TraceBundle::load(&dtb[..]).expect("load");
+                .bundle;
+            let (encode_ns, dtb) = min_over(3, || recorded.to_binary_bytes());
+            drop(recorded);
+            let (decode_ns, bundle) = min_over(3, || TraceBundle::load(&dtb[..]).expect("load"));
             let records = (bundle.vfd.len() + bundle.vol.len() + bundle.files.len()) as u64;
             let (analysis_ns, _) = min_over(3, || Analysis::run(&bundle));
             LadderRung {
                 iterations: n,
                 records,
+                encode_ns,
+                decode_ns,
                 analysis_ns,
                 peak_rss_mb: peak_rss_mb(),
             }
@@ -318,6 +341,8 @@ fn add_ladder(r: &mut Report, rungs: &[LadderRung]) {
     for rung in rungs {
         let n = |m: &str| format!("ddmd_ladder.i{}.{m}", rung.iterations);
         r.metric(n("records"), rung.records as f64, "records");
+        r.metric(n("encode_ns_per_record"), rung.encode_ns_per_record(), "ns");
+        r.metric(n("decode_ns_per_record"), rung.decode_ns_per_record(), "ns");
         let per_record = rung.analysis_ns_per_record();
         r.metric(n("analysis_ns_per_record"), per_record, "ns");
         if let Some(mb) = rung.peak_rss_mb {
@@ -455,7 +480,12 @@ mod tests {
         assert!(rungs[0].records > 0 && rungs[1].records > rungs[0].records);
         let mut r = Report::new("pipeline", Scale::Full);
         add_ladder(&mut r, &rungs);
-        for m in ["records", "analysis_ns_per_record"] {
+        for m in [
+            "records",
+            "encode_ns_per_record",
+            "decode_ns_per_record",
+            "analysis_ns_per_record",
+        ] {
             assert!(r.metrics.contains_key(&format!("ddmd_ladder.i2.{m}")));
         }
         assert_gated(&r, &["ddmd_ladder.analysis_per_record_ratio"]);
@@ -463,6 +493,8 @@ mod tests {
         let rung = |iterations, records, analysis_ns| LadderRung {
             iterations,
             records,
+            encode_ns: 0,
+            decode_ns: 0,
             analysis_ns,
             peak_rss_mb: None,
         };

@@ -11,18 +11,19 @@
 //! table    varint count, then per string: varint length + UTF-8 bytes
 //! frames   tag byte + frame body, repeated
 //!          01 meta   (workflow id, page_size, task_order, degraded_tasks,
-//!                     and from v2 the stage membership lists)
+//!                     then the recovered set from v3, the stage lists
+//!                     from v2 and the origin from v4)
 //!          02 vol    (one VolRecord)
 //!          03 vfd    (one VfdRecord)
 //!          04 file   (one FileRecord)
 //!          00 end of section
 //! ```
 //!
-//! Every integer is an LEB128 varint, read and written by [`crate::wire`]'s
-//! codec (the one `.drb` and the served wire protocol use, with the same
-//! sanity cap and error texts); every name (task, file, object, workflow)
-//! is a varint index into the section's string table — the persisted form
-//! of the process-wide interner ([`crate::intern`]). The magic's first byte
+//! Every integer is an LEB128 varint, with the encoding, sanity caps and
+//! error texts of [`crate::wire`]'s codec (the one `.drb` and the served
+//! wire protocol use); every name (task, file, object, workflow) is a
+//! varint index into the section's string table — the persisted form of
+//! the process-wide interner ([`crate::intern`]). The magic's first byte
 //! (0x89, non-ASCII, like PNG's) is what
 //! [`TraceBundle::load`](crate::store::TraceBundle::load) sniffs to
 //! auto-detect the format: JSONL lines always start with `{` or whitespace.
@@ -30,16 +31,31 @@
 //! Unknown versions and truncated frames are `InvalidData` errors: the
 //! format carries no per-frame lengths, so a reader cannot skip content it
 //! does not understand. Bump the version byte for any layout change.
+//!
+//! **Writing** takes two passes over the bundle. The first gives every
+//! name its table id in first-use order, in a dense table indexed by
+//! [`Symbol::index`]; the second encodes the frames into a small buffer
+//! that goes to the writer a few KiB at a time.
+//!
+//! **Reading** decodes runs of whole VOL, VFD and FILE frames straight
+//! from the bytes [`BufRead::fill_buf`] already holds. A frame that run
+//! cannot finish — a meta or end frame, one cut by the buffer's end or by
+//! truncation, one with an invalid tag, string id or varint — is read
+//! again from its tag byte by the careful reader, a field at a time
+//! through [`crate::wire`]. The careful reader is the only source of
+//! errors, so the offset a failure leaves the reader at and its message
+//! do not depend on where the buffer ended. Both readers run the same
+//! frame decoders, over the `Fields` of the buffer or of the reader.
 
 use crate::ids::{FileKey, ObjectKey, TaskKey};
-use crate::intern::{Symbol, SymbolMap};
+use crate::intern::Symbol;
 use crate::store::{RecordSink, TraceBundle, TraceMeta, TraceOrigin};
 use crate::time::{Interval, Timestamp};
 use crate::vfd::{AccessType, FileRecord, FileStats, IoKind, VfdRecord};
 use crate::vol::{
     DataType, LayoutKind, ObjectDescription, ObjectKind, VolAccess, VolAccessKind, VolRecord,
 };
-use crate::wire::{bad, read_len, read_u8, read_varint, write_varint, LEN_CAP};
+use crate::wire::{bad, read_len, read_u8, read_varint, LEN_CAP};
 use std::io::{self, BufRead, Write};
 
 /// Section magic; the trailing byte is the format version this build
@@ -66,31 +82,49 @@ const TAG_FILE: u8 = 0x04;
 
 // ---------------------------------------------------------------- writer
 
-fn write_usize<W: Write>(w: &mut W, v: usize) -> io::Result<()> {
-    write_varint(w, v as u64)
+/// Encoded bytes the writer gathers before one `write_all`.
+const SPILL_AT: usize = 8 << 10;
+
+/// Appends `v` as an LEB128 varint, the bytes [`crate::wire::write_varint`]
+/// writes.
+#[inline(always)]
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
 }
 
-/// Maps process-wide symbols to dense per-section string-table ids. The
-/// keys are this process's symbols, so the map takes the symbol hasher.
+fn put_usize(buf: &mut Vec<u8>, v: usize) {
+    put_varint(buf, v as u64);
+}
+
+/// Maps process-wide symbols to dense per-section string-table ids.
 #[derive(Default)]
 struct TableBuilder {
-    ids: SymbolMap<Symbol, u32>,
+    /// Indexed by [`Symbol::index`]: the symbol's table id plus one, or 0
+    /// for a symbol not in the table.
+    ids: Vec<u32>,
     strings: Vec<&'static str>,
 }
 
 impl TableBuilder {
-    fn add(&mut self, sym: Symbol) -> u32 {
-        if let Some(&id) = self.ids.get(&sym) {
-            return id;
+    fn add(&mut self, sym: Symbol) {
+        let i = sym.index() as usize;
+        if i >= self.ids.len() {
+            self.ids.resize(i + 1, 0);
         }
-        let id = self.strings.len() as u32;
-        self.strings.push(sym.as_str());
-        self.ids.insert(sym, id);
-        id
+        if self.ids[i] == 0 {
+            self.strings.push(sym.as_str());
+            self.ids[i] = self.strings.len() as u32;
+        }
     }
 
-    fn id(&self, sym: Symbol) -> u64 {
-        u64::from(self.ids[&sym])
+    /// Appends the table id of `sym`, which [`Self::add`] has seen.
+    #[inline(always)]
+    fn put(&self, buf: &mut Vec<u8>, sym: Symbol) {
+        put_varint(buf, u64::from(self.ids[sym.index() as usize] - 1));
     }
 }
 
@@ -135,111 +169,132 @@ fn build_table(bundle: &TraceBundle) -> TableBuilder {
     t
 }
 
-fn write_intervals<W: Write>(w: &mut W, ivs: &[Interval]) -> io::Result<()> {
-    write_usize(w, ivs.len())?;
+fn put_tasks(buf: &mut Vec<u8>, t: &TableBuilder, tasks: &[TaskKey]) {
+    put_usize(buf, tasks.len());
+    for k in tasks {
+        t.put(buf, k.symbol());
+    }
+}
+
+fn put_intervals(buf: &mut Vec<u8>, ivs: &[Interval]) {
+    put_usize(buf, ivs.len());
     for iv in ivs {
-        write_varint(w, iv.start.nanos())?;
-        write_varint(w, iv.end.nanos())?;
+        put_varint(buf, iv.start.nanos());
+        put_varint(buf, iv.end.nanos());
     }
-    Ok(())
 }
 
-fn write_dims<W: Write>(w: &mut W, dims: &[u64]) -> io::Result<()> {
-    write_usize(w, dims.len())?;
+fn put_dims(buf: &mut Vec<u8>, dims: &[u64]) {
+    put_usize(buf, dims.len());
     for d in dims {
-        write_varint(w, *d)?;
+        put_varint(buf, *d);
     }
-    Ok(())
 }
 
-fn write_vol<W: Write>(w: &mut W, t: &TableBuilder, r: &VolRecord) -> io::Result<()> {
-    w.write_all(&[TAG_VOL])?;
-    write_varint(w, t.id(r.task.symbol()))?;
-    write_varint(w, t.id(r.file.symbol()))?;
-    write_varint(w, t.id(r.object.symbol()))?;
-    let kind = match r.kind {
-        ObjectKind::File => 0u8,
+fn put_meta(buf: &mut Vec<u8>, t: &TableBuilder, meta: &TraceMeta) {
+    buf.push(TAG_META);
+    t.put(buf, Symbol::intern(&meta.workflow));
+    put_varint(buf, meta.page_size);
+    put_tasks(buf, t, &meta.task_order);
+    put_tasks(buf, t, &meta.degraded_tasks);
+    put_tasks(buf, t, &meta.recovered_tasks);
+    put_usize(buf, meta.stages.len());
+    for stage in &meta.stages {
+        put_tasks(buf, t, stage);
+    }
+    match &meta.origin {
+        None => buf.push(0),
+        Some(origin) => {
+            buf.push(1);
+            t.put(buf, Symbol::intern(&origin.workload));
+            t.put(buf, Symbol::intern(&origin.params));
+            t.put(buf, Symbol::intern(&origin.tool_version));
+        }
+    }
+}
+
+fn put_vol(buf: &mut Vec<u8>, t: &TableBuilder, r: &VolRecord) {
+    buf.push(TAG_VOL);
+    t.put(buf, r.task.symbol());
+    t.put(buf, r.file.symbol());
+    t.put(buf, r.object.symbol());
+    buf.push(match r.kind {
+        ObjectKind::File => 0,
         ObjectKind::Group => 1,
         ObjectKind::Dataset => 2,
         ObjectKind::Attribute => 3,
-    };
-    w.write_all(&[kind])?;
-    write_intervals(w, &r.lifetimes)?;
+    });
+    put_intervals(buf, &r.lifetimes);
     // Description.
-    write_dims(w, &r.description.shape)?;
+    put_dims(buf, &r.description.shape);
     match r.description.dtype {
-        None => w.write_all(&[0])?,
+        None => buf.push(0),
         Some(DataType::Int { width }) => {
-            w.write_all(&[1])?;
-            write_varint(w, u64::from(width))?;
+            buf.push(1);
+            put_varint(buf, u64::from(width));
         }
         Some(DataType::Float { width }) => {
-            w.write_all(&[2])?;
-            write_varint(w, u64::from(width))?;
+            buf.push(2);
+            put_varint(buf, u64::from(width));
         }
         Some(DataType::FixedBytes { len }) => {
-            w.write_all(&[3])?;
-            write_varint(w, u64::from(len))?;
+            buf.push(3);
+            put_varint(buf, u64::from(len));
         }
-        Some(DataType::VarLen) => w.write_all(&[4])?,
+        Some(DataType::VarLen) => buf.push(4),
     }
-    write_varint(w, r.description.logical_size)?;
-    let layout = match r.description.layout {
-        None => 0u8,
+    put_varint(buf, r.description.logical_size);
+    buf.push(match r.description.layout {
+        None => 0,
         Some(LayoutKind::Compact) => 1,
         Some(LayoutKind::Contiguous) => 2,
         Some(LayoutKind::Chunked) => 3,
-    };
-    w.write_all(&[layout])?;
-    write_dims(w, &r.description.chunk_shape)?;
+    });
+    put_dims(buf, &r.description.chunk_shape);
     // Accesses.
-    write_usize(w, r.accesses.len())?;
+    put_usize(buf, r.accesses.len());
     for a in &r.accesses {
-        let kind = match a.kind {
-            VolAccessKind::Read => 0u8,
+        buf.push(match a.kind {
+            VolAccessKind::Read => 0,
             VolAccessKind::Write => 1,
-        };
-        w.write_all(&[kind])?;
-        write_varint(w, a.count)?;
-        write_varint(w, a.bytes)?;
-        write_dims(w, &a.sel_offset)?;
-        write_dims(w, &a.sel_count)?;
-        write_varint(w, a.at.nanos())?;
+        });
+        put_varint(buf, a.count);
+        put_varint(buf, a.bytes);
+        put_dims(buf, &a.sel_offset);
+        put_dims(buf, &a.sel_count);
+        put_varint(buf, a.at.nanos());
     }
-    Ok(())
 }
 
-fn write_vfd<W: Write>(w: &mut W, t: &TableBuilder, r: &VfdRecord) -> io::Result<()> {
-    w.write_all(&[TAG_VFD])?;
-    write_varint(w, t.id(r.task.symbol()))?;
-    write_varint(w, t.id(r.file.symbol()))?;
-    write_varint(w, t.id(r.object.symbol()))?;
-    let kind = match r.kind {
-        IoKind::Read => 0u8,
+fn put_vfd(buf: &mut Vec<u8>, t: &TableBuilder, r: &VfdRecord) {
+    buf.push(TAG_VFD);
+    t.put(buf, r.task.symbol());
+    t.put(buf, r.file.symbol());
+    t.put(buf, r.object.symbol());
+    buf.push(match r.kind {
+        IoKind::Read => 0,
         IoKind::Write => 1,
         IoKind::Open => 2,
         IoKind::Close => 3,
         IoKind::Flush => 4,
         IoKind::Truncate => 5,
-    };
-    let access = match r.access {
-        AccessType::Metadata => 0u8,
+    });
+    buf.push(match r.access {
+        AccessType::Metadata => 0,
         AccessType::RawData => 1,
-    };
-    w.write_all(&[kind, access])?;
-    write_varint(w, r.offset)?;
-    write_varint(w, r.len)?;
-    write_varint(w, r.start.nanos())?;
+    });
+    put_varint(buf, r.offset);
+    put_varint(buf, r.len);
+    put_varint(buf, r.start.nanos());
     // Durations are tiny next to absolute timestamps: delta-encode the end.
-    write_varint(w, r.end.nanos().saturating_sub(r.start.nanos()))?;
-    Ok(())
+    put_varint(buf, r.end.nanos().saturating_sub(r.start.nanos()));
 }
 
-fn write_file<W: Write>(w: &mut W, t: &TableBuilder, r: &FileRecord) -> io::Result<()> {
-    w.write_all(&[TAG_FILE])?;
-    write_varint(w, t.id(r.task.symbol()))?;
-    write_varint(w, t.id(r.file.symbol()))?;
-    write_intervals(w, &r.lifetimes)?;
+fn put_file(buf: &mut Vec<u8>, t: &TableBuilder, r: &FileRecord) {
+    buf.push(TAG_FILE);
+    t.put(buf, r.task.symbol());
+    t.put(buf, r.file.symbol());
+    put_intervals(buf, &r.lifetimes);
     for v in [
         r.stats.read_ops,
         r.stats.write_ops,
@@ -250,7 +305,15 @@ fn write_file<W: Write>(w: &mut W, t: &TableBuilder, r: &FileRecord) -> io::Resu
         r.stats.metadata_bytes,
         r.stats.max_address,
     ] {
-        write_varint(w, v)?;
+        put_varint(buf, v);
+    }
+}
+
+/// Hands `buf` to `w` once it holds [`SPILL_AT`] bytes.
+fn spill<W: Write>(buf: &mut Vec<u8>, w: &mut W) -> io::Result<()> {
+    if buf.len() >= SPILL_AT {
+        w.write_all(buf)?;
+        buf.clear();
     }
     Ok(())
 }
@@ -258,57 +321,126 @@ fn write_file<W: Write>(w: &mut W, t: &TableBuilder, r: &FileRecord) -> io::Resu
 /// Writes one complete `.dtb` section for `bundle`.
 pub fn write_bundle<W: Write>(bundle: &TraceBundle, w: &mut W) -> io::Result<()> {
     let table = build_table(bundle);
-    w.write_all(&MAGIC)?;
-    write_usize(w, table.strings.len())?;
+    let mut buf = Vec::with_capacity(SPILL_AT + 256);
+    buf.extend_from_slice(&MAGIC);
+    put_usize(&mut buf, table.strings.len());
     for s in &table.strings {
-        write_usize(w, s.len())?;
-        w.write_all(s.as_bytes())?;
+        put_usize(&mut buf, s.len());
+        buf.extend_from_slice(s.as_bytes());
+        spill(&mut buf, w)?;
     }
-    // Meta frame.
-    w.write_all(&[TAG_META])?;
-    write_varint(w, table.id(Symbol::intern(&bundle.meta.workflow)))?;
-    write_varint(w, bundle.meta.page_size)?;
-    write_usize(w, bundle.meta.task_order.len())?;
-    for k in &bundle.meta.task_order {
-        write_varint(w, table.id(k.symbol()))?;
-    }
-    write_usize(w, bundle.meta.degraded_tasks.len())?;
-    for k in &bundle.meta.degraded_tasks {
-        write_varint(w, table.id(k.symbol()))?;
-    }
-    write_usize(w, bundle.meta.recovered_tasks.len())?;
-    for k in &bundle.meta.recovered_tasks {
-        write_varint(w, table.id(k.symbol()))?;
-    }
-    write_usize(w, bundle.meta.stages.len())?;
-    for stage in &bundle.meta.stages {
-        write_usize(w, stage.len())?;
-        for k in stage {
-            write_varint(w, table.id(k.symbol()))?;
-        }
-    }
-    match &bundle.meta.origin {
-        None => w.write_all(&[0])?,
-        Some(origin) => {
-            w.write_all(&[1])?;
-            write_varint(w, table.id(Symbol::intern(&origin.workload)))?;
-            write_varint(w, table.id(Symbol::intern(&origin.params)))?;
-            write_varint(w, table.id(Symbol::intern(&origin.tool_version)))?;
-        }
-    }
+    put_meta(&mut buf, &table, &bundle.meta);
     for r in &bundle.vol {
-        write_vol(w, &table, r)?;
+        put_vol(&mut buf, &table, r);
+        spill(&mut buf, w)?;
     }
     for r in &bundle.vfd {
-        write_vfd(w, &table, r)?;
+        put_vfd(&mut buf, &table, r);
+        spill(&mut buf, w)?;
     }
     for r in &bundle.files {
-        write_file(w, &table, r)?;
+        put_file(&mut buf, &table, r);
+        spill(&mut buf, w)?;
     }
-    w.write_all(&[TAG_END])
+    buf.push(TAG_END);
+    w.write_all(&buf)
 }
 
 // ---------------------------------------------------------------- reader
+
+/// Where the frame decoders read their fields from: a [`Careful`] reader,
+/// or a [`Buffered`] cursor over bytes a reader already holds.
+trait Fields {
+    /// `io::Error` for the careful reader, [`Bail`] for the cursor.
+    type Err;
+    fn u8(&mut self) -> Result<u8, Self::Err>;
+    fn varint(&mut self) -> Result<u64, Self::Err>;
+    /// A length field, rejected above `cap`.
+    fn len(&mut self, what: &str, cap: u64) -> Result<usize, Self::Err>;
+    /// The error for a field read in full but invalid; only the careful
+    /// reader builds the message.
+    fn invalid(msg: impl FnOnce() -> String) -> Self::Err;
+}
+
+/// Reads fields a byte at a time through [`crate::wire`], across buffer
+/// refills, and reports every fault with `wire`'s error texts.
+struct Careful<'r, R>(&'r mut R);
+
+impl<R: BufRead> Fields for Careful<'_, R> {
+    type Err = io::Error;
+
+    fn u8(&mut self) -> io::Result<u8> {
+        read_u8(self.0)
+    }
+
+    fn varint(&mut self) -> io::Result<u64> {
+        read_varint(self.0)
+    }
+
+    fn len(&mut self, what: &str, cap: u64) -> io::Result<usize> {
+        read_len(self.0, what, cap)
+    }
+
+    fn invalid(msg: impl FnOnce() -> String) -> io::Error {
+        bad(msg())
+    }
+}
+
+/// The [`Buffered`] cursor gave up on a frame: it ran past the buffer or
+/// met a field the careful reader will report.
+struct Bail;
+
+/// A cursor over the bytes a reader has buffered.
+struct Buffered<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl Fields for Buffered<'_> {
+    type Err = Bail;
+
+    #[inline(always)]
+    fn u8(&mut self) -> Result<u8, Bail> {
+        let b = *self.buf.get(self.pos).ok_or(Bail)?;
+        self.pos += 1;
+        Ok(b)
+    }
+
+    /// Accepts exactly the varints [`read_varint`] accepts.
+    #[inline(always)]
+    fn varint(&mut self) -> Result<u64, Bail> {
+        let b = self.u8()?;
+        if b < 0x80 {
+            return Ok(u64::from(b));
+        }
+        let mut v = u64::from(b & 0x7F);
+        let mut shift = 7u32;
+        loop {
+            let b = self.u8()?;
+            if shift >= 63 && b > 1 {
+                return Err(Bail);
+            }
+            v |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
+    }
+
+    #[inline(always)]
+    fn len(&mut self, _what: &str, cap: u64) -> Result<usize, Bail> {
+        match self.varint()? {
+            v if v > cap => Err(Bail),
+            v => Ok(v as usize),
+        }
+    }
+
+    #[inline(always)]
+    fn invalid(_msg: impl FnOnce() -> String) -> Bail {
+        Bail
+    }
+}
 
 /// Per-section string table, re-interned into the process pool on read.
 struct Table {
@@ -316,12 +448,22 @@ struct Table {
 }
 
 impl Table {
-    fn sym<R: BufRead>(&self, r: &mut R) -> io::Result<Symbol> {
-        let id = read_varint(r)?;
+    #[inline(always)]
+    fn sym<F: Fields>(&self, f: &mut F) -> Result<Symbol, F::Err> {
+        let id = f.varint()?;
         self.syms
             .get(id as usize)
             .copied()
-            .ok_or_else(|| bad(format!("string id {id} out of table range")))
+            .ok_or_else(|| F::invalid(|| format!("string id {id} out of table range")))
+    }
+
+    fn tasks<F: Fields>(&self, f: &mut F, what: &str) -> Result<Vec<TaskKey>, F::Err> {
+        let n = f.len(what, LEN_CAP)?;
+        let mut out = Vec::with_capacity(n.min(65536));
+        for _ in 0..n {
+            out.push(TaskKey::from_symbol(self.sym(f)?));
+        }
+        Ok(out)
     }
 }
 
@@ -332,84 +474,128 @@ impl Table {
 /// demand gigabytes before the subsequent read fails.
 const STRING_CAP: u64 = 1 << 20;
 
-fn read_intervals<R: BufRead>(r: &mut R) -> io::Result<Vec<Interval>> {
-    let n = read_len(r, "interval list", LEN_CAP)?;
+fn read_intervals<F: Fields>(f: &mut F) -> Result<Vec<Interval>, F::Err> {
+    let n = f.len("interval list", LEN_CAP)?;
     let mut out = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
-        let start = Timestamp(read_varint(r)?);
-        let end = Timestamp(read_varint(r)?);
+        let start = Timestamp(f.varint()?);
+        let end = Timestamp(f.varint()?);
         out.push(Interval::new(start, end));
     }
     Ok(out)
 }
 
-fn read_dims<R: BufRead>(r: &mut R) -> io::Result<Vec<u64>> {
-    let n = read_len(r, "dimension list", LEN_CAP)?;
+fn read_dims<F: Fields>(f: &mut F) -> Result<Vec<u64>, F::Err> {
+    let n = f.len("dimension list", LEN_CAP)?;
     let mut out = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
-        out.push(read_varint(r)?);
+        out.push(f.varint()?);
     }
     Ok(out)
 }
 
 /// Reads a varint into a narrower field, rejecting values that do not fit
 /// rather than truncating them.
-fn read_field<R: BufRead, T: TryFrom<u64>>(r: &mut R, what: &str) -> io::Result<T> {
-    let v = read_varint(r)?;
-    T::try_from(v).map_err(|_| bad(format!("{what} {v} out of range")))
+fn read_field<F: Fields, T: TryFrom<u64>>(f: &mut F, what: &str) -> Result<T, F::Err> {
+    let v = f.varint()?;
+    T::try_from(v).map_err(|_| F::invalid(|| format!("{what} {v} out of range")))
 }
 
-fn read_vol<R: BufRead>(r: &mut R, t: &Table) -> io::Result<VolRecord> {
-    let task = TaskKey::from_symbol(t.sym(r)?);
-    let file = FileKey::from_symbol(t.sym(r)?);
-    let object = ObjectKey::from_symbol(t.sym(r)?);
-    let kind = match read_u8(r)? {
+/// The body of a meta frame; `version` says which of the later fields the
+/// section carries.
+fn read_meta<F: Fields>(f: &mut F, t: &Table, version: u8) -> Result<TraceMeta, F::Err> {
+    let workflow = t.sym(f)?.as_str().to_owned();
+    let page_size = f.varint()?;
+    let task_order = t.tasks(f, "task order")?;
+    let degraded_tasks = t.tasks(f, "degraded set")?;
+    let mut recovered_tasks = Vec::new();
+    if version >= 0x03 {
+        recovered_tasks = t.tasks(f, "recovered set")?;
+    }
+    let mut stages = Vec::new();
+    if version >= 0x02 {
+        let n = f.len("stage list", LEN_CAP)?;
+        stages.reserve(n.min(65536));
+        for _ in 0..n {
+            stages.push(t.tasks(f, "stage")?);
+        }
+    }
+    let mut origin = None;
+    if version >= 0x04 {
+        match f.u8()? {
+            0 => {}
+            1 => {
+                origin = Some(TraceOrigin {
+                    workload: t.sym(f)?.as_str().to_owned(),
+                    params: t.sym(f)?.as_str().to_owned(),
+                    tool_version: t.sym(f)?.as_str().to_owned(),
+                });
+            }
+            other => return Err(F::invalid(|| format!("bad origin presence byte {other}"))),
+        }
+    }
+    Ok(TraceMeta {
+        workflow,
+        task_order,
+        page_size,
+        degraded_tasks,
+        recovered_tasks,
+        stages,
+        origin,
+    })
+}
+
+fn read_vol<F: Fields>(f: &mut F, t: &Table) -> Result<VolRecord, F::Err> {
+    let task = TaskKey::from_symbol(t.sym(f)?);
+    let file = FileKey::from_symbol(t.sym(f)?);
+    let object = ObjectKey::from_symbol(t.sym(f)?);
+    let kind = match f.u8()? {
         0 => ObjectKind::File,
         1 => ObjectKind::Group,
         2 => ObjectKind::Dataset,
         3 => ObjectKind::Attribute,
-        other => return Err(bad(format!("bad object kind {other}"))),
+        other => return Err(F::invalid(|| format!("bad object kind {other}"))),
     };
-    let lifetimes = read_intervals(r)?;
-    let shape = read_dims(r)?;
-    let dtype = match read_u8(r)? {
+    let lifetimes = read_intervals(f)?;
+    let shape = read_dims(f)?;
+    let dtype = match f.u8()? {
         0 => None,
         1 => Some(DataType::Int {
-            width: read_field(r, "integer width")?,
+            width: read_field(f, "integer width")?,
         }),
         2 => Some(DataType::Float {
-            width: read_field(r, "float width")?,
+            width: read_field(f, "float width")?,
         }),
         3 => Some(DataType::FixedBytes {
-            len: read_field(r, "fixed-bytes length")?,
+            len: read_field(f, "fixed-bytes length")?,
         }),
         4 => Some(DataType::VarLen),
-        other => return Err(bad(format!("bad dtype tag {other}"))),
+        other => return Err(F::invalid(|| format!("bad dtype tag {other}"))),
     };
-    let logical_size = read_varint(r)?;
-    let layout = match read_u8(r)? {
+    let logical_size = f.varint()?;
+    let layout = match f.u8()? {
         0 => None,
         1 => Some(LayoutKind::Compact),
         2 => Some(LayoutKind::Contiguous),
         3 => Some(LayoutKind::Chunked),
-        other => return Err(bad(format!("bad layout tag {other}"))),
+        other => return Err(F::invalid(|| format!("bad layout tag {other}"))),
     };
-    let chunk_shape = read_dims(r)?;
-    let n = read_len(r, "access list", LEN_CAP)?;
+    let chunk_shape = read_dims(f)?;
+    let n = f.len("access list", LEN_CAP)?;
     let mut accesses = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
-        let kind = match read_u8(r)? {
+        let kind = match f.u8()? {
             0 => VolAccessKind::Read,
             1 => VolAccessKind::Write,
-            other => return Err(bad(format!("bad access kind {other}"))),
+            other => return Err(F::invalid(|| format!("bad access kind {other}"))),
         };
         accesses.push(VolAccess {
             kind,
-            count: read_varint(r)?,
-            bytes: read_varint(r)?,
-            sel_offset: read_dims(r)?,
-            sel_count: read_dims(r)?,
-            at: Timestamp(read_varint(r)?),
+            count: f.varint()?,
+            bytes: f.varint()?,
+            sel_offset: read_dims(f)?,
+            sel_count: read_dims(f)?,
+            at: Timestamp(f.varint()?),
         });
     }
     Ok(VolRecord {
@@ -429,28 +615,29 @@ fn read_vol<R: BufRead>(r: &mut R, t: &Table) -> io::Result<VolRecord> {
     })
 }
 
-fn read_vfd<R: BufRead>(r: &mut R, t: &Table) -> io::Result<VfdRecord> {
-    let task = TaskKey::from_symbol(t.sym(r)?);
-    let file = FileKey::from_symbol(t.sym(r)?);
-    let object = ObjectKey::from_symbol(t.sym(r)?);
-    let kind = match read_u8(r)? {
+#[inline(always)]
+fn read_vfd<F: Fields>(f: &mut F, t: &Table) -> Result<VfdRecord, F::Err> {
+    let task = TaskKey::from_symbol(t.sym(f)?);
+    let file = FileKey::from_symbol(t.sym(f)?);
+    let object = ObjectKey::from_symbol(t.sym(f)?);
+    let kind = match f.u8()? {
         0 => IoKind::Read,
         1 => IoKind::Write,
         2 => IoKind::Open,
         3 => IoKind::Close,
         4 => IoKind::Flush,
         5 => IoKind::Truncate,
-        other => return Err(bad(format!("bad io kind {other}"))),
+        other => return Err(F::invalid(|| format!("bad io kind {other}"))),
     };
-    let access = match read_u8(r)? {
+    let access = match f.u8()? {
         0 => AccessType::Metadata,
         1 => AccessType::RawData,
-        other => return Err(bad(format!("bad access type {other}"))),
+        other => return Err(F::invalid(|| format!("bad access type {other}"))),
     };
-    let offset = read_varint(r)?;
-    let len = read_varint(r)?;
-    let start = read_varint(r)?;
-    let dur = read_varint(r)?;
+    let offset = f.varint()?;
+    let len = f.varint()?;
+    let start = f.varint()?;
+    let dur = f.varint()?;
     Ok(VfdRecord {
         task,
         file,
@@ -468,25 +655,118 @@ fn read_vfd<R: BufRead>(r: &mut R, t: &Table) -> io::Result<VfdRecord> {
 // the public statistics into a default value (the cursor legitimately
 // resets across persistence, exactly as it does in JSONL, which omits it).
 #[allow(clippy::field_reassign_with_default)]
-fn read_file<R: BufRead>(r: &mut R, t: &Table) -> io::Result<FileRecord> {
-    let task = TaskKey::from_symbol(t.sym(r)?);
-    let file = FileKey::from_symbol(t.sym(r)?);
-    let lifetimes = read_intervals(r)?;
+fn read_file<F: Fields>(f: &mut F, t: &Table) -> Result<FileRecord, F::Err> {
+    let task = TaskKey::from_symbol(t.sym(f)?);
+    let file = FileKey::from_symbol(t.sym(f)?);
+    let lifetimes = read_intervals(f)?;
     let mut stats = FileStats::default();
-    stats.read_ops = read_varint(r)?;
-    stats.write_ops = read_varint(r)?;
-    stats.bytes_read = read_varint(r)?;
-    stats.bytes_written = read_varint(r)?;
-    stats.sequential_ops = read_varint(r)?;
-    stats.metadata_ops = read_varint(r)?;
-    stats.metadata_bytes = read_varint(r)?;
-    stats.max_address = read_varint(r)?;
+    stats.read_ops = f.varint()?;
+    stats.write_ops = f.varint()?;
+    stats.bytes_read = f.varint()?;
+    stats.bytes_written = f.varint()?;
+    stats.sequential_ops = f.varint()?;
+    stats.metadata_ops = f.varint()?;
+    stats.metadata_bytes = f.varint()?;
+    stats.max_address = f.varint()?;
     Ok(FileRecord {
         task,
         file,
         lifetimes,
         stats,
     })
+}
+
+/// Reads a section's magic and string table.
+fn read_header<R: BufRead>(r: &mut R) -> io::Result<(u8, Table)> {
+    let mut magic = [0u8; 8];
+    r.read_exact(&mut magic)?;
+    if magic[..7] != MAGIC[..7] {
+        return Err(bad("not a DaYu binary trace (bad magic)"));
+    }
+    let version = magic[7];
+    if !(VERSION_V1..=MAGIC[7]).contains(&version) {
+        return Err(bad(format!(
+            "unsupported .dtb version {version} (this build reads {} through {})",
+            VERSION_V1, MAGIC[7]
+        )));
+    }
+    let n = read_len(r, "string table", LEN_CAP)?;
+    let mut syms = Vec::with_capacity(n.min(65536));
+    let mut scratch = Vec::new();
+    for _ in 0..n {
+        let len = read_len(r, "string", STRING_CAP)?;
+        scratch.resize(len, 0);
+        r.read_exact(&mut scratch)?;
+        let s = std::str::from_utf8(&scratch).map_err(|e| bad(format!("bad utf-8: {e}")))?;
+        syms.push(Symbol::intern(s));
+    }
+    Ok((version, Table { syms }))
+}
+
+/// Why [`buffered_frames`] stopped.
+enum Stop {
+    /// At a frame it leaves to [`careful_frame`].
+    Careful,
+    /// The sink refused a record; the frame that carried it is read.
+    Sink(io::Error),
+}
+
+/// Decodes whole VOL, VFD and FILE frames from the front of `buf` into
+/// `sink` until it meets one it cannot finish. Returns the bytes of the
+/// frames it read and why it stopped. Generic over the sink only, and kept
+/// out of line, so every reader type runs the same machine code.
+#[inline(never)]
+fn buffered_frames<S: RecordSink>(
+    buf: &[u8],
+    t: &Table,
+    sink: &mut S,
+    records: &mut u64,
+) -> (usize, Stop) {
+    let mut f = Buffered { buf, pos: 0 };
+    loop {
+        let at = f.pos;
+        let delivered = match f.u8() {
+            Ok(TAG_VFD) => read_vfd(&mut f, t).map(|r| sink.vfd(r)),
+            Ok(TAG_VOL) => read_vol(&mut f, t).map(|r| sink.vol(r)),
+            Ok(TAG_FILE) => read_file(&mut f, t).map(|r| sink.file(r)),
+            _ => Err(Bail),
+        };
+        match delivered {
+            Ok(Ok(())) => *records += 1,
+            Ok(Err(e)) => return (f.pos, Stop::Sink(e)),
+            Err(Bail) => return (at, Stop::Careful),
+        }
+    }
+}
+
+/// Reads one frame, from its tag byte, a field at a time. Returns whether
+/// the section goes on (false after its end frame).
+fn careful_frame<R: BufRead, S: RecordSink>(
+    r: &mut R,
+    t: &Table,
+    version: u8,
+    sink: &mut S,
+    records: &mut u64,
+) -> io::Result<bool> {
+    let f = &mut Careful(r);
+    match f.u8()? {
+        TAG_END => return Ok(false),
+        TAG_META => sink.meta(read_meta(f, t, version)?)?,
+        TAG_VOL => {
+            *records += 1;
+            sink.vol(read_vol(f, t)?)?;
+        }
+        TAG_VFD => {
+            *records += 1;
+            sink.vfd(read_vfd(f, t)?)?;
+        }
+        TAG_FILE => {
+            *records += 1;
+            sink.file(read_file(f, t)?)?;
+        }
+        other => return Err(bad(format!("unknown frame tag {other:#04x}"))),
+    }
+    Ok(true)
 }
 
 /// Reads a `.dtb` stream into a bundle. Multiple concatenated sections merge
@@ -498,116 +778,32 @@ pub fn read_bundles<R: BufRead>(r: R) -> io::Result<TraceBundle> {
 }
 
 /// Streams a `.dtb` stream into `sink` frame by frame, never holding more
-/// than one record in memory. Section meta frames (including v1 sections,
-/// which carry no stage lists) are delivered through [`RecordSink::meta`];
-/// returns the number of data records delivered.
+/// than one record beyond the reader's buffer. Section meta frames
+/// (including v1 sections, which carry no stage lists) are delivered
+/// through [`RecordSink::meta`]; returns the number of data records
+/// delivered. A failure leaves the reader just past the bytes the careful
+/// reader consumed before giving up, wherever the reader's buffer ended.
 pub fn stream_bundles<R: BufRead, S: RecordSink>(mut r: R, sink: &mut S) -> io::Result<u64> {
     let mut records = 0u64;
-    loop {
-        // Section boundary: clean EOF ends the stream. EOF is detected by
-        // peeking, not by catching `read_exact`'s UnexpectedEof — that would
-        // also swallow a *partial* magic (trailing garbage, or a section cut
-        // mid-header), which must be an error.
-        if r.fill_buf()?.is_empty() {
-            break;
-        }
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if magic[..7] != MAGIC[..7] {
-            return Err(bad("not a DaYu binary trace (bad magic)"));
-        }
-        let version = magic[7];
-        if !(VERSION_V1..=MAGIC[7]).contains(&version) {
-            return Err(bad(format!(
-                "unsupported .dtb version {version} (this build reads {} through {})",
-                VERSION_V1, MAGIC[7]
-            )));
-        }
-        let n = read_len(&mut r, "string table", LEN_CAP)?;
-        let mut syms = Vec::with_capacity(n.min(65536));
-        let mut scratch = Vec::new();
-        for _ in 0..n {
-            let len = read_len(&mut r, "string", STRING_CAP)?;
-            scratch.resize(len, 0);
-            r.read_exact(&mut scratch)?;
-            let s = std::str::from_utf8(&scratch).map_err(|e| bad(format!("bad utf-8: {e}")))?;
-            syms.push(Symbol::intern(s));
-        }
-        let table = Table { syms };
+    // Section boundary: clean EOF ends the stream. EOF is detected by
+    // peeking, not by catching `read_exact`'s UnexpectedEof — that would
+    // also swallow a *partial* magic (trailing garbage, or a section cut
+    // mid-header), which must be an error.
+    while !r.fill_buf()?.is_empty() {
+        let (version, table) = read_header(&mut r)?;
         loop {
-            match read_u8(&mut r)? {
-                TAG_END => break,
-                TAG_META => {
-                    let workflow = table.sym(&mut r)?.as_str().to_owned();
-                    let page_size = read_varint(&mut r)?;
-                    let n = read_len(&mut r, "task order", LEN_CAP)?;
-                    let mut task_order = Vec::with_capacity(n.min(65536));
-                    for _ in 0..n {
-                        task_order.push(TaskKey::from_symbol(table.sym(&mut r)?));
-                    }
-                    let n = read_len(&mut r, "degraded set", LEN_CAP)?;
-                    let mut degraded_tasks = Vec::with_capacity(n.min(65536));
-                    for _ in 0..n {
-                        degraded_tasks.push(TaskKey::from_symbol(table.sym(&mut r)?));
-                    }
-                    let mut recovered_tasks = Vec::new();
-                    if version >= 0x03 {
-                        let n = read_len(&mut r, "recovered set", LEN_CAP)?;
-                        recovered_tasks.reserve(n.min(65536));
-                        for _ in 0..n {
-                            recovered_tasks.push(TaskKey::from_symbol(table.sym(&mut r)?));
-                        }
-                    }
-                    let mut stages = Vec::new();
-                    if version >= 0x02 {
-                        let n = read_len(&mut r, "stage list", LEN_CAP)?;
-                        stages.reserve(n.min(65536));
-                        for _ in 0..n {
-                            let m = read_len(&mut r, "stage", LEN_CAP)?;
-                            let mut stage = Vec::with_capacity(m.min(65536));
-                            for _ in 0..m {
-                                stage.push(TaskKey::from_symbol(table.sym(&mut r)?));
-                            }
-                            stages.push(stage);
-                        }
-                    }
-                    let mut origin = None;
-                    if version >= 0x04 {
-                        match read_u8(&mut r)? {
-                            0 => {}
-                            1 => {
-                                origin = Some(TraceOrigin {
-                                    workload: table.sym(&mut r)?.as_str().to_owned(),
-                                    params: table.sym(&mut r)?.as_str().to_owned(),
-                                    tool_version: table.sym(&mut r)?.as_str().to_owned(),
-                                });
-                            }
-                            other => return Err(bad(format!("bad origin presence byte {other}"))),
-                        }
-                    }
-                    sink.meta(TraceMeta {
-                        workflow,
-                        task_order,
-                        page_size,
-                        degraded_tasks,
-                        recovered_tasks,
-                        stages,
-                        origin,
-                    })?;
-                }
-                TAG_VOL => {
-                    records += 1;
-                    sink.vol(read_vol(&mut r, &table)?)?;
-                }
-                TAG_VFD => {
-                    records += 1;
-                    sink.vfd(read_vfd(&mut r, &table)?)?;
-                }
-                TAG_FILE => {
-                    records += 1;
-                    sink.file(read_file(&mut r, &table)?)?;
-                }
-                other => return Err(bad(format!("unknown frame tag {other:#04x}"))),
+            // A failed refill is left for the careful reader to meet again
+            // (and to retry, if it was an interruption).
+            let (read, stop) = match r.fill_buf() {
+                Ok(buf) => buffered_frames(buf, &table, sink, &mut records),
+                Err(_) => (0, Stop::Careful),
+            };
+            r.consume(read);
+            if let Stop::Sink(e) = stop {
+                return Err(e);
+            }
+            if !careful_frame(&mut r, &table, version, sink, &mut records)? {
+                break;
             }
         }
     }
@@ -617,6 +813,55 @@ pub fn stream_bundles<R: BufRead, S: RecordSink>(mut r: R, sink: &mut S) -> io::
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::write_varint;
+
+    /// `wire`'s writer, which hand-built sections use to check the
+    /// section writer's bytes.
+    fn write_usize(w: &mut Vec<u8>, v: usize) -> io::Result<()> {
+        write_varint(w, v as u64)
+    }
+
+    #[test]
+    fn buffered_varints_are_wire_varints() {
+        // Every value's encoding, each with a byte cut off, and ten-byte
+        // varints whose tenth byte takes every value (at most 1 fits).
+        let mut blobs = Vec::new();
+        for s in 0..64 {
+            for v in [(1u64 << s) - 1, 1 << s, u64::MAX >> s] {
+                let mut b = Vec::new();
+                write_varint(&mut b, v).unwrap();
+                blobs.push(b[..b.len() - 1].to_vec());
+                blobs.push(b);
+            }
+        }
+        for tenth in 0..=u8::MAX {
+            let mut b = vec![0xFF; 9];
+            b.extend([tenth, 0x00]);
+            blobs.push(b);
+        }
+        for blob in blobs {
+            let mut rest = &blob[..];
+            let wire = read_varint(&mut rest).ok();
+            let mut cursor = Buffered { buf: &blob, pos: 0 };
+            let ours = cursor.varint().ok();
+            assert_eq!(ours, wire, "{blob:02x?}");
+            if ours.is_some() {
+                assert_eq!(cursor.pos, blob.len() - rest.len(), "{blob:02x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn put_varint_writes_wire_varints() {
+        let mut values = vec![0, 1, 127, 128, 300, 16383, 16384, u64::MAX - 1, u64::MAX];
+        values.extend((0..64).flat_map(|s| [(1u64 << s) - 1, 1 << s, (1 << s) + 1]));
+        for v in values {
+            let (mut ours, mut wire) = (Vec::new(), Vec::new());
+            put_varint(&mut ours, v);
+            write_varint(&mut wire, v).unwrap();
+            assert_eq!(ours, wire, "{v}");
+        }
+    }
 
     #[test]
     fn bad_magic_rejected() {

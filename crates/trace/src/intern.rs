@@ -110,7 +110,9 @@ impl Symbol {
             .expect("a symbol's slot is filled before the symbol exists")
     }
 
-    /// The raw table index (diagnostics; stable within this process only).
+    /// The raw table index: stable within this process only, and dense
+    /// from 0, so it can index a per-process table (the `.dtb` writer
+    /// keeps one for each section it writes).
     pub fn index(self) -> u32 {
         self.0
     }

@@ -135,6 +135,7 @@ impl TraceBundle {
 mod tests {
     use super::*;
     use crate::ids::{FileKey, ObjectKey, TaskKey};
+    use crate::sha256::{hex, sha256};
     use crate::time::{Interval, Timestamp};
     use crate::vfd::{AccessType, FileRecord, IoKind, VfdRecord};
     use crate::vol::{
@@ -193,6 +194,152 @@ mod tests {
             });
         }
         b
+    }
+
+    /// SHA-256 of [`every_frame_bundle`]'s section bytes, and of the
+    /// decode result of its every prefix and single-bit flip.
+    const PINNED_FRAMES: [&str; 2] = [
+        "2afaa3ba980c6f48536c26df5a26820d441ce414133de8179fe879b7a7498468",
+        "63376080e060be5ae718c60943d92cbece292eeb3e6d9d8c411a8b82b6ad3b66",
+    ];
+
+    /// A v4 section with a frame of every kind: a meta frame with stages,
+    /// a recovered set and an origin; VOL frames with lifetimes, accesses
+    /// and selections; a VFD frame of every `IoKind`; a FILE frame.
+    fn every_frame_bundle() -> TraceBundle {
+        let mut b = TraceBundle::new("wf");
+        for t in ["t1", "t2"] {
+            b.push_task(TaskKey::new(t));
+        }
+        b.mark_degraded(TaskKey::new("t2"));
+        b.mark_recovered(TaskKey::new("t1"));
+        b.meta.stages = vec![vec![TaskKey::new("t1")], vec![TaskKey::new("t2")]];
+        b.meta.origin = Some(crate::store::TraceOrigin {
+            workload: "ddmd".into(),
+            params: "iterations=1".into(),
+            tool_version: "0.1.0".into(),
+        });
+        for (object, kind, dtype, layout) in [
+            ("/g", ObjectKind::Group, None, None),
+            (
+                "/g/d",
+                ObjectKind::Dataset,
+                Some(DataType::Float { width: 8 }),
+                Some(LayoutKind::Chunked),
+            ),
+            (
+                "/g/s",
+                ObjectKind::Attribute,
+                Some(DataType::FixedBytes { len: 300 }),
+                Some(LayoutKind::Compact),
+            ),
+        ] {
+            b.vol.push(VolRecord {
+                task: TaskKey::new("t1"),
+                file: FileKey::new("f.h5"),
+                object: ObjectKey::new(object),
+                kind,
+                lifetimes: vec![
+                    Interval::new(Timestamp(10), Timestamp(900)),
+                    Interval::new(Timestamp(1000), Timestamp(200_000)),
+                ],
+                description: ObjectDescription {
+                    shape: vec![64, 1 << 20],
+                    dtype,
+                    logical_size: 8 << 26,
+                    layout,
+                    chunk_shape: vec![8, 1 << 14],
+                },
+                accesses: [VolAccessKind::Write, VolAccessKind::Read]
+                    .into_iter()
+                    .map(|kind| VolAccess {
+                        kind,
+                        count: 3,
+                        bytes: 1 << 17,
+                        sel_offset: vec![0, 300],
+                        sel_count: vec![8, 1 << 14],
+                        at: Timestamp(150_000),
+                    })
+                    .collect(),
+            });
+        }
+        for (i, kind) in [
+            IoKind::Open,
+            IoKind::Write,
+            IoKind::Read,
+            IoKind::Flush,
+            IoKind::Truncate,
+            IoKind::Close,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let i = i as u64;
+            b.vfd.push(VfdRecord {
+                task: TaskKey::new(if i < 3 { "t1" } else { "t2" }),
+                file: FileKey::new("f.h5"),
+                kind,
+                offset: 4096 * i,
+                len: 128 << i,
+                access: if i.is_multiple_of(2) {
+                    AccessType::Metadata
+                } else {
+                    AccessType::RawData
+                },
+                object: ObjectKey::new("/g/d"),
+                start: Timestamp(1_000_000 + 300 * i),
+                end: Timestamp(1_000_200 + 300 * i),
+            });
+        }
+        let mut stats = crate::vfd::FileStats::default();
+        stats.read_ops = 1;
+        stats.write_ops = 2;
+        stats.bytes_read = 128;
+        stats.bytes_written = 4096;
+        stats.sequential_ops = 1;
+        stats.metadata_ops = 3;
+        stats.metadata_bytes = 600;
+        stats.max_address = 1 << 20;
+        b.files.push(FileRecord {
+            task: TaskKey::new("t2"),
+            file: FileKey::new("f.h5"),
+            lifetimes: vec![Interval::new(Timestamp(5), Timestamp(2_000_000))],
+            stats,
+        });
+        b
+    }
+
+    #[test]
+    fn every_cut_and_flip_of_every_frame_kind_is_pinned() {
+        // One line per prefix and per single-bit flip: the decoded bundle's
+        // JSONL digest, or the error's offset, kind and message, which the
+        // ingest service copies into its quarantine reports.
+        let bytes = every_frame_bundle().to_binary_bytes();
+        assert_eq!(
+            bytes[7],
+            crate::binary::MAGIC[7],
+            "a current-version section"
+        );
+        let mut results = crate::sha256::Sha256::new();
+        let mut note = |case: String, blob: &[u8]| {
+            let line = match decode_section(blob) {
+                Ok(b) => format!("{case}: ok {}\n", hex(&sha256(&b.to_jsonl_bytes()))),
+                Err(e) => format!("{case}: {} {:?} {}\n", e.offset, e.cause.kind(), e.cause),
+            };
+            results.update(line.as_bytes());
+        };
+        for cut in 0..bytes.len() {
+            note(format!("cut {cut}"), &bytes[..cut]);
+        }
+        for pos in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[pos] ^= 1 << bit;
+                note(format!("flip {pos}.{bit}"), &bad);
+            }
+        }
+        let got = [hex(&sha256(&bytes)), hex(&results.finalize())];
+        assert_eq!(got, PINNED_FRAMES, "new digests: {got:?}");
     }
 
     #[test]

@@ -466,8 +466,8 @@ impl TraceBundle {
     }
 
     /// Writes the bundle in the compact `.dtb` binary format
-    /// (see [`crate::binary`]). Wrap file writers in a `BufWriter`: the
-    /// encoder emits many small frames.
+    /// (see [`crate::binary`]). The encoder hands `w` its frames a few KiB
+    /// at a time.
     pub fn write_binary<W: Write>(&self, mut w: W) -> io::Result<()> {
         crate::binary::write_bundle(self, &mut w)
     }

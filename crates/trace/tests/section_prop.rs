@@ -13,7 +13,8 @@ use dayu_trace::vfd::{AccessType, FileRecord, IoKind, VfdRecord};
 use dayu_trace::vol::{
     DataType, LayoutKind, ObjectDescription, ObjectKind, VolAccess, VolAccessKind, VolRecord,
 };
-use dayu_trace::{decode_section, TraceBundle};
+use dayu_trace::{decode_section, RecordSink, TraceBundle, TraceMeta};
+use std::io::{self, BufRead, Read};
 
 /// `lo..=hi` lowercase letters.
 fn word(rng: &mut ChaosRng, lo: u64, hi: u64) -> String {
@@ -161,6 +162,128 @@ fn every_bit_flip_is_err_or_valid() {
             }
         }
     });
+}
+
+/// A reader that buffers at most one byte, so the `.dtb` reader decodes
+/// every frame a field at a time, through its careful path.
+struct OneByte<'a>(&'a [u8]);
+
+impl Read for OneByte<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.0.read(buf)
+    }
+}
+
+impl BufRead for OneByte<'_> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        Ok(&self.0[..self.0.len().min(1)])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.0 = &self.0[n..];
+    }
+}
+
+/// One or two sections of arbitrary bundles, whole, cut or with one bit
+/// flipped.
+fn arb_blob(rng: &mut ChaosRng) -> Vec<u8> {
+    let mut bytes = arb_bundle(rng).to_binary_bytes();
+    if rng.chance(0.5) {
+        bytes.extend(arb_bundle(rng).to_binary_bytes());
+    }
+    match rng.range(0, 3) {
+        0 => {}
+        1 => bytes.truncate(rng.range(0, bytes.len() as u64) as usize),
+        _ => {
+            let pos = rng.range(0, bytes.len() as u64) as usize;
+            bytes[pos] ^= 1 << rng.range(0, 8);
+        }
+    }
+    bytes
+}
+
+/// Decoding whole frames from the buffer gives what decoding every frame
+/// a field at a time gives: the same bundle, or the same error with the
+/// reader left at the same byte.
+#[test]
+fn buffered_decoding_equals_careful_decoding() {
+    cases("buffered_decoding_equals_careful_decoding", 256, |rng| {
+        let bytes = arb_blob(rng);
+        let mut buffered = &bytes[..];
+        let mut careful = OneByte(&bytes);
+        let (a, b) = (
+            TraceBundle::read_binary(&mut buffered),
+            TraceBundle::read_binary(&mut careful),
+        );
+        match (a, b) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b),
+            (Err(a), Err(b)) => {
+                assert_eq!(a.kind(), b.kind());
+                assert_eq!(a.to_string(), b.to_string());
+            }
+            (a, b) => panic!("buffered {a:?}, careful {b:?}"),
+        }
+        assert_eq!(buffered.len(), careful.0.len(), "bytes left unread");
+    });
+}
+
+/// A sink that takes `budget` data records and refuses the next.
+struct Refusing {
+    budget: usize,
+    taken: usize,
+}
+
+impl Refusing {
+    fn take(&mut self) -> io::Result<()> {
+        if self.taken == self.budget {
+            return Err(io::Error::other("sink full"));
+        }
+        self.taken += 1;
+        Ok(())
+    }
+}
+
+impl RecordSink for Refusing {
+    fn meta(&mut self, _: TraceMeta) -> io::Result<()> {
+        Ok(())
+    }
+    fn vol(&mut self, _: VolRecord) -> io::Result<()> {
+        self.take()
+    }
+    fn vfd(&mut self, _: VfdRecord) -> io::Result<()> {
+        self.take()
+    }
+    fn file(&mut self, _: FileRecord) -> io::Result<()> {
+        self.take()
+    }
+}
+
+/// A sink's error reaches the caller with the refused record's frame
+/// read and nothing after it, whichever path decoded the frame.
+#[test]
+fn sink_errors_leave_the_reader_past_the_refused_frame() {
+    cases(
+        "sink_errors_leave_the_reader_past_the_refused_frame",
+        64,
+        |rng| {
+            let b = arb_bundle(rng);
+            let n = b.vol.len() + b.vfd.len() + b.files.len();
+            let bytes = b.to_binary_bytes();
+            for budget in 0..n {
+                let mut buffered = &bytes[..];
+                let mut careful = OneByte(&bytes);
+                for reader in [&mut buffered as &mut dyn BufRead, &mut careful] {
+                    let mut sink = Refusing { budget, taken: 0 };
+                    let err = TraceBundle::stream(reader, &mut sink).unwrap_err();
+                    assert_eq!(err.to_string(), "sink full");
+                    assert_eq!(sink.taken, budget);
+                }
+                assert_eq!(buffered.len(), careful.0.len(), "budget {budget} of {n}");
+                // The rest decodes as frames: an end tag, or the next record.
+                assert!(matches!(buffered.first(), Some(0x00 | 0x02..=0x04)));
+            }
+        },
+    );
 }
 
 /// Splitting per task and re-merging the encoded sections in any

@@ -276,7 +276,14 @@ fn dayu_analyze_check_passes_clean_trace_and_flags_planted_hazard() {
         "{}",
         String::from_utf8_lossy(&out.stdout)
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("no dataflow hazards"));
+    let records = run.bundle.vol.len() + run.bundle.vfd.len() + run.bundle.files.len();
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!(
+            "{}: no findings ({records} records checked)\n",
+            clean_path.display()
+        )
+    );
 
     // A trace whose reader observably started before the writer is flagged.
     let mut bundle = dayu_trace::TraceBundle::new("planted");
