@@ -11,17 +11,31 @@
 //! the Characteristic Mapper); object-level (VOL) accesses supply logical
 //! volumes and cover runs where time-sensitive I/O tracing was disabled.
 //!
-//! ## One pass per graph
+//! ## Fold, then write
 //!
-//! Both builders partition the bundle's records by task in
-//! [`TraceBundle::all_tasks`] order (execution order first, stragglers
-//! after), seed one task node per task so node ids follow that order, and
-//! then write each task's records straight into the final graph: task by
-//! task, and within a task in record order. [`crate::Analysis::run`]
-//! partitions once for both graphs. The incremental builder
-//! ([`crate::partial`]) runs the same per-task passes ([`ftg_records`],
-//! [`sdg_records`]) into one small graph per task and folds those in the
-//! same order; every fold is a min, max or sum, so its snapshots are the
+//! Every statistic a graph carries from VFD records is a total over a
+//! group of them: per task, file, object and direction (and, with region
+//! nodes, address region). Both builders partition the bundle's records
+//! by task in [`TraceBundle::all_tasks`] order (execution order first,
+//! stragglers after) and, in the same pass, fold each data-moving VFD
+//! record into its group's [`EdgeStats`]: one hash lookup per record.
+//! Groups keep the order of their first record. The builders then seed
+//! one task node per task, so node ids follow that order, and write each
+//! task's groups into the final graph in that order: the file and
+//! dataset nodes, the access edge with the group's statistics, and the
+//! structural edge; the FTG drops the object, so groups that differ only
+//! in it merge into one file edge. VOL records and file records are
+//! written after, record by record.
+//!
+//! The graphs are the ones a record-by-record write would make. Such a
+//! write creates a node or an edge only at the first record of a group,
+//! and writing groups in first-record order repeats that sequence, so
+//! node ids and edge order match; node spans and edge statistics are
+//! mins, maxes and sums, which do not depend on grouping.
+//! [`crate::Analysis::run`] partitions once for both graphs. The
+//! incremental builder ([`crate::partial`]) folds and writes one task at
+//! a time (`ftg_records`, `sdg_records`) into one small graph per
+//! task and merges those in the same order, so its snapshots are the
 //! batch graphs, node and edge ids included.
 
 use crate::graph::{EdgeStats, Graph, GraphKind, NodeKind, Operation};
@@ -29,6 +43,7 @@ use dayu_trace::store::TraceBundle;
 use dayu_trace::vfd::{AccessType, FileRecord, IoKind, VfdRecord};
 use dayu_trace::vol::{VolAccessKind, VolRecord};
 use dayu_trace::{Symbol, SymbolMap, TaskKey};
+use std::collections::hash_map::Entry;
 
 /// Options for SDG construction.
 #[derive(Clone, Debug)]
@@ -48,7 +63,7 @@ impl Default for SdgOptions {
     }
 }
 
-fn vfd_stats(rec: &dayu_trace::vfd::VfdRecord) -> EdgeStats {
+fn vfd_stats(rec: &VfdRecord) -> EdgeStats {
     let meta = rec.access == AccessType::Metadata;
     EdgeStats {
         access_volume: rec.len,
@@ -63,56 +78,149 @@ fn vfd_stats(rec: &dayu_trace::vfd::VfdRecord) -> EdgeStats {
     }
 }
 
-/// One task's slice of a bundle, in within-task record order. Shared with
-/// the incremental builder ([`crate::partial`]), which assembles partitions
-/// from its retained per-task record stores instead of a whole bundle.
+/// What a task's data-moving VFD records are grouped by: file, object,
+/// direction and, in region mode, the `[lo, hi)` page range of the region
+/// holding the record's offset.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct FoldKey {
+    file: Symbol,
+    object: Symbol,
+    write: bool,
+    region: Option<(u64, u64)>,
+}
+
+/// One group of a task's VFD records and their summed statistics.
+struct Fold {
+    key: FoldKey,
+    stats: EdgeStats,
+}
+
+/// Region mode's geometry: each file's observed extent split into
+/// `count` page-aligned pieces.
+pub(crate) struct Regions<'a> {
+    pub(crate) count: u64,
+    pub(crate) file_extent: &'a SymbolMap<Symbol, u64>,
+    pub(crate) page: u64,
+}
+
+impl Regions<'_> {
+    /// The `[lo, hi)` page range of the region holding `offset`.
+    fn region_of(&self, file: Symbol, offset: u64) -> (u64, u64) {
+        let regions = self.count;
+        let extent = self.file_extent.get(&file).copied().unwrap_or(0).max(1);
+        let total_pages = extent.div_ceil(self.page);
+        let per_region = total_pages.div_ceil(regions.max(1)).max(1);
+        let page_idx = offset / self.page;
+        let region = (page_idx / per_region).min(regions - 1);
+        let lo = region * per_region;
+        let hi = ((region + 1) * per_region).min(total_pages.max(1));
+        (lo, hi)
+    }
+}
+
+/// Folds VFD records into their partitions' groups. One index serves
+/// every partition, keyed by partition and group.
+struct Folder<'r> {
+    regions: Option<&'r Regions<'r>>,
+    index: SymbolMap<(usize, FoldKey), usize>,
+}
+
+impl<'r> Folder<'r> {
+    fn new(regions: Option<&'r Regions<'r>>) -> Self {
+        Self {
+            regions,
+            index: SymbolMap::default(),
+        }
+    }
+
+    /// Adds `rec` to its group in `folds`, partition `part`'s groups; a
+    /// record that moves no data adds nothing.
+    fn add(&mut self, part: usize, folds: &mut Vec<Fold>, rec: &VfdRecord) {
+        if !rec.kind.moves_data() {
+            return;
+        }
+        let file = rec.file.symbol();
+        let key = FoldKey {
+            file,
+            object: rec.object.symbol(),
+            write: rec.kind == IoKind::Write,
+            region: self.regions.map(|r| r.region_of(file, rec.offset)),
+        };
+        match self.index.entry((part, key)) {
+            Entry::Occupied(e) => folds[*e.get()].stats.merge(&vfd_stats(rec)),
+            Entry::Vacant(e) => {
+                e.insert(folds.len());
+                folds.push(Fold {
+                    key,
+                    stats: vfd_stats(rec),
+                });
+            }
+        }
+    }
+}
+
+/// One task's slice of a bundle: its VFD records folded, its VOL and
+/// file records in within-task record order. Shared with the incremental
+/// builder ([`crate::partial`]), which assembles partitions from its
+/// retained per-task record stores instead of a whole bundle.
 pub(crate) struct Partition<'a> {
-    pub(crate) task: TaskKey,
-    pub(crate) vfd: Vec<&'a VfdRecord>,
-    pub(crate) vol: Vec<&'a VolRecord>,
-    pub(crate) files: Vec<&'a FileRecord>,
+    task: TaskKey,
+    folds: Vec<Fold>,
+    vol: Vec<&'a VolRecord>,
+    files: Vec<&'a FileRecord>,
 }
 
 impl<'a> Partition<'a> {
+    fn new(task: TaskKey) -> Self {
+        Self {
+            task,
+            folds: Vec::new(),
+            vol: Vec::new(),
+            files: Vec::new(),
+        }
+    }
+
     /// A partition over records already grouped by task (the incremental
     /// builder's retained state). Slices must be in within-task record
     /// order for the build to match the batch path.
     pub(crate) fn from_slices(
         task: TaskKey,
-        vfd: &'a [VfdRecord],
+        vfd: &[VfdRecord],
         vol: &'a [VolRecord],
         files: &'a [FileRecord],
+        regions: Option<&Regions<'_>>,
     ) -> Self {
-        Self {
-            task,
-            vfd: vfd.iter().collect(),
-            vol: vol.iter().collect(),
-            files: files.iter().collect(),
+        let mut part = Self::new(task);
+        let mut folder = Folder::new(regions);
+        for rec in vfd {
+            folder.add(0, &mut part.folds, rec);
         }
+        part.vol = vol.iter().collect();
+        part.files = files.iter().collect();
+        part
     }
 }
 
 /// Splits the bundle's records by task, in `all_tasks` order (execution
-/// order first, stragglers after). Every record lands in exactly one
-/// partition — `all_tasks` includes every task any record names.
-pub(crate) fn partition(bundle: &TraceBundle) -> Vec<Partition<'_>> {
+/// order first, stragglers after), folding VFD records as they land.
+/// Every record lands in exactly one partition — `all_tasks` includes
+/// every task any record names. Consecutive VFD records of one task take
+/// one task lookup.
+fn partition<'a>(bundle: &'a TraceBundle, regions: Option<&Regions<'_>>) -> Vec<Partition<'a>> {
     let tasks = bundle.all_tasks();
     let index: SymbolMap<Symbol, usize> = tasks
         .iter()
         .enumerate()
         .map(|(i, t)| (t.symbol(), i))
         .collect();
-    let mut parts: Vec<Partition<'_>> = tasks
-        .into_iter()
-        .map(|task| Partition {
-            task,
-            vfd: Vec::new(),
-            vol: Vec::new(),
-            files: Vec::new(),
-        })
-        .collect();
-    for r in &bundle.vfd {
-        parts[index[&r.task.symbol()]].vfd.push(r);
+    let mut parts: Vec<Partition<'_>> = tasks.into_iter().map(Partition::new).collect();
+    let mut folder = Folder::new(regions);
+    for run in bundle.vfd.chunk_by(|a, b| a.task == b.task) {
+        let p = index[&run[0].task.symbol()];
+        let folds = &mut parts[p].folds;
+        for rec in run {
+            folder.add(p, folds, rec);
+        }
     }
     for r in &bundle.vol {
         parts[index[&r.task.symbol()]].vol.push(r);
@@ -121,6 +229,28 @@ pub(crate) fn partition(bundle: &TraceBundle) -> Vec<Partition<'_>> {
         parts[index[&r.task.symbol()]].files.push(r);
     }
     parts
+}
+
+/// [`partition`] folded with region keys when `opts` asks for region
+/// nodes: the partition both graphs of [`crate::Analysis::run_with`] are
+/// written from.
+pub(crate) fn partition_for<'a>(bundle: &'a TraceBundle, opts: &SdgOptions) -> Vec<Partition<'a>> {
+    if !opts.include_regions {
+        return partition(bundle, None);
+    }
+    let mut file_extent: SymbolMap<Symbol, u64> = SymbolMap::default();
+    for rec in &bundle.vfd {
+        if rec.kind.moves_data() {
+            let e = file_extent.entry(rec.file.symbol()).or_default();
+            *e = (*e).max(rec.offset + rec.len);
+        }
+    }
+    let regions = Regions {
+        count: opts.region_count,
+        file_extent: &file_extent,
+        page: bundle.meta.page_size.max(1),
+    };
+    partition(bundle, Some(&regions))
 }
 
 /// A graph of the bundle's workflow: one task node per partition, then
@@ -142,24 +272,26 @@ fn write_tasks(
     g
 }
 
+/// Widens node `id`'s span to a group's first and last access and adds
+/// its volume.
+fn touch(g: &mut Graph, id: usize, stats: &EdgeStats) {
+    g.touch_node(id, stats.first, stats.last, stats.access_volume);
+}
+
 /// Writes one task's records into `g` under the FTG's rules. `vfd_empty`
 /// is the whole bundle's, not the task's: a bundle without VFD records
 /// falls back to file statistics in every task.
 pub(crate) fn ftg_records(g: &mut Graph, part: &Partition<'_>, vfd_empty: bool) {
     let t = g.node_sym(NodeKind::Task, part.task.symbol());
 
-    for rec in &part.vfd {
-        if !rec.kind.moves_data() {
-            continue;
-        }
-        let f = g.node_sym(NodeKind::File, rec.file.symbol());
-        g.touch_node(t, rec.start, rec.end, rec.len);
-        g.touch_node(f, rec.start, rec.end, rec.len);
-        let stats = vfd_stats(rec);
-        match rec.kind {
-            IoKind::Read => g.edge(f, t, Operation::ReadOnly, stats),
-            IoKind::Write => g.edge(t, f, Operation::WriteOnly, stats),
-            _ => unreachable!(),
+    for Fold { key, stats } in &part.folds {
+        let f = g.node_sym(NodeKind::File, key.file);
+        touch(g, t, stats);
+        touch(g, f, stats);
+        if key.write {
+            g.edge(t, f, Operation::WriteOnly, stats.clone());
+        } else {
+            g.edge(f, t, Operation::ReadOnly, stats.clone());
         }
     }
 
@@ -209,10 +341,11 @@ pub(crate) fn ftg_records(g: &mut Graph, part: &Partition<'_>, vfd_empty: bool) 
 
 /// Builds the File-Task Graph.
 pub fn build_ftg(bundle: &TraceBundle) -> Graph {
-    ftg_of(bundle, &partition(bundle))
+    ftg_of(bundle, &partition(bundle, None))
 }
 
-/// [`build_ftg`] over the bundle's [`partition`].
+/// [`build_ftg`] over the bundle's [`partition`], folded with or without
+/// regions.
 pub(crate) fn ftg_of(bundle: &TraceBundle, parts: &[Partition<'_>]) -> Graph {
     let vfd_empty = bundle.vfd.is_empty();
     write_tasks(GraphKind::Ftg, bundle, parts, |g, part| {
@@ -231,8 +364,8 @@ pub fn region_label(file: &str, lo_page: u64, hi_page: u64) -> String {
 }
 
 /// Interning caches for the SDG's composite labels (`file:object` dataset
-/// labels, `file:[lo-hi)p` region labels), so the per-record hot loop only
-/// formats a label string the first time a distinct one appears.
+/// labels, `file:[lo-hi)p` region labels), so a build formats a label
+/// string only the first time a distinct one appears.
 #[derive(Default)]
 pub(crate) struct LabelCache {
     dataset: SymbolMap<(Symbol, Symbol), Symbol>,
@@ -255,67 +388,33 @@ impl LabelCache {
     }
 }
 
-/// The bundle-wide inputs of the SDG's per-task pass: region geometry
-/// (each file's observed extent split into `region_count` page-aligned
-/// pieces) and whether the bundle has any VFD record.
-pub(crate) struct SdgGeometry<'a> {
-    pub(crate) opts: &'a SdgOptions,
-    pub(crate) file_extent: &'a SymbolMap<Symbol, u64>,
-    pub(crate) page: u64,
-    pub(crate) vfd_empty: bool,
-}
-
-impl SdgGeometry<'_> {
-    /// The `[lo, hi)` page range of the region holding `offset`.
-    fn region_of(&self, file: Symbol, offset: u64) -> (u64, u64) {
-        let regions = self.opts.region_count;
-        let extent = self.file_extent.get(&file).copied().unwrap_or(0).max(1);
-        let total_pages = extent.div_ceil(self.page);
-        let per_region = total_pages.div_ceil(regions.max(1)).max(1);
-        let page_idx = offset / self.page;
-        let region = (page_idx / per_region).min(regions - 1);
-        let lo = region * per_region;
-        let hi = ((region + 1) * per_region).min(total_pages.max(1));
-        (lo, hi)
-    }
-}
-
-/// Writes one task's records into `g` under the SDG's rules.
+/// Writes one task's records into `g` under the SDG's rules. The
+/// partition's groups carry a region exactly when it was folded in region
+/// mode, and then each writes a region node between dataset and file.
 pub(crate) fn sdg_records(
     g: &mut Graph,
     labels: &mut LabelCache,
     part: &Partition<'_>,
-    geo: &SdgGeometry<'_>,
+    vfd_empty: bool,
 ) {
     let t = g.node_sym(NodeKind::Task, part.task.symbol());
 
     // Low-level truth: edges from attributed VFD records.
-    for rec in &part.vfd {
-        if !rec.kind.moves_data() {
-            continue;
+    for Fold { key, stats } in &part.folds {
+        let f = g.node_sym(NodeKind::File, key.file);
+        let d = g.node_sym(NodeKind::Dataset, labels.dataset(key.file, key.object));
+        touch(g, t, stats);
+        touch(g, f, stats);
+        touch(g, d, stats);
+        if key.write {
+            g.edge(t, d, Operation::WriteOnly, stats.clone());
+        } else {
+            g.edge(d, t, Operation::ReadOnly, stats.clone());
         }
-        let f = g.node_sym(NodeKind::File, rec.file.symbol());
-        let d = g.node_sym(
-            NodeKind::Dataset,
-            labels.dataset(rec.file.symbol(), rec.object.symbol()),
-        );
-        g.touch_node(t, rec.start, rec.end, rec.len);
-        g.touch_node(f, rec.start, rec.end, rec.len);
-        g.touch_node(d, rec.start, rec.end, rec.len);
-        let stats = vfd_stats(rec);
-        match rec.kind {
-            IoKind::Read => g.edge(d, t, Operation::ReadOnly, stats.clone()),
-            IoKind::Write => g.edge(t, d, Operation::WriteOnly, stats.clone()),
-            _ => unreachable!(),
-        }
-        if geo.opts.include_regions {
-            let (lo, hi) = geo.region_of(rec.file.symbol(), rec.offset);
-            let r = g.node_sym(
-                NodeKind::AddrRegion,
-                labels.region(rec.file.symbol(), lo, hi),
-            );
-            g.touch_node(r, rec.start, rec.end, rec.len);
-            g.edge(d, r, Operation::Structural, stats);
+        if let Some((lo, hi)) = key.region {
+            let r = g.node_sym(NodeKind::AddrRegion, labels.region(key.file, lo, hi));
+            touch(g, r, stats);
+            g.edge(d, r, Operation::Structural, stats.clone());
             g.edge(r, f, Operation::Structural, EdgeStats::default());
         } else {
             g.edge(d, f, Operation::Structural, EdgeStats::default());
@@ -334,7 +433,7 @@ pub(crate) fn sdg_records(
             labels.dataset(rec.file.symbol(), rec.object.symbol()),
         );
         let f = g.node_sym(NodeKind::File, rec.file.symbol());
-        if geo.vfd_empty {
+        if vfd_empty {
             // No low-level records: this is the only source of edges.
             for a in &rec.accesses {
                 let stats = EdgeStats {
@@ -364,29 +463,16 @@ pub(crate) fn sdg_records(
 
 /// Builds the Semantic Dataflow Graph.
 pub fn build_sdg(bundle: &TraceBundle, opts: &SdgOptions) -> Graph {
-    sdg_of(bundle, &partition(bundle), opts)
+    sdg_of(bundle, &partition_for(bundle, opts))
 }
 
-/// [`build_sdg`] over the bundle's [`partition`].
-pub(crate) fn sdg_of(bundle: &TraceBundle, parts: &[Partition<'_>], opts: &SdgOptions) -> Graph {
-    let mut file_extent: SymbolMap<Symbol, u64> = SymbolMap::default();
-    if opts.include_regions {
-        for rec in &bundle.vfd {
-            if rec.kind.moves_data() {
-                let e = file_extent.entry(rec.file.symbol()).or_default();
-                *e = (*e).max(rec.offset + rec.len);
-            }
-        }
-    }
-    let geo = SdgGeometry {
-        opts,
-        file_extent: &file_extent,
-        page: bundle.meta.page_size.max(1),
-        vfd_empty: bundle.vfd.is_empty(),
-    };
+/// [`build_sdg`] over the bundle's [`partition`]; region nodes appear
+/// when it was folded with regions.
+pub(crate) fn sdg_of(bundle: &TraceBundle, parts: &[Partition<'_>]) -> Graph {
+    let vfd_empty = bundle.vfd.is_empty();
     let mut labels = LabelCache::default();
     write_tasks(GraphKind::Sdg, bundle, parts, |g, part| {
-        sdg_records(g, &mut labels, part, &geo)
+        sdg_records(g, &mut labels, part, vfd_empty)
     })
 }
 

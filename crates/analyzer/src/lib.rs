@@ -55,15 +55,15 @@ impl Analysis {
     }
 
     /// Builds graphs and runs detectors with explicit options. The bundle
-    /// is split by task once, for both graphs.
+    /// is split by task and its VFD records folded once, for both graphs.
     pub fn run_with(
         bundle: &TraceBundle,
         sdg_opts: &SdgOptions,
         det_cfg: &DetectorConfig,
     ) -> Analysis {
-        let parts = build::partition(bundle);
+        let parts = build::partition_for(bundle, sdg_opts);
         let ftg = build::ftg_of(bundle, &parts);
-        let sdg = build::sdg_of(bundle, &parts, sdg_opts);
+        let sdg = build::sdg_of(bundle, &parts);
         let findings = run_detectors(bundle, &ftg, &sdg, det_cfg);
         Analysis { ftg, sdg, findings }
     }

@@ -5,9 +5,10 @@
 //! per task flush, out of order, sometimes duplicated by a retrying client.
 //! [`PartialGraph`] absorbs sections one at a time, retains records grouped
 //! by task, and snapshots a full graph on demand. It keeps one small graph
-//! per task, built by the batch path's own per-task passes
-//! ([`build::ftg_records`], [`build::sdg_records`]), rebuilds only those
-//! whose inputs changed, and folds them into the snapshot in task order.
+//! per task, built by the batch path's own per-task passes (the task's VFD
+//! records folded, then `build::ftg_records`, `build::sdg_records`),
+//! rebuilds only those whose inputs changed, and folds them into the
+//! snapshot in task order.
 //! Every fold is a min, max or sum, so a snapshot is not merely equivalent
 //! to `build_ftg`/`build_sdg` over the union of the absorbed sections: it
 //! is the identical graph, node ids and all.
@@ -36,7 +37,7 @@
 //! arrive in recorded order and is a deterministic (but arrival-dependent)
 //! order otherwise.
 
-use crate::build::{self, LabelCache, Partition, SdgGeometry, SdgOptions};
+use crate::build::{self, LabelCache, Partition, Regions, SdgOptions};
 use crate::graph::{Graph, GraphKind, NodeKind};
 use dayu_trace::sha256::Digest;
 use dayu_trace::store::{TraceBundle, TraceMeta};
@@ -277,6 +278,7 @@ impl PartialGraph {
             &self.tasks,
             &ordering,
             geometry_rev,
+            None,
             |part| {
                 let mut g = Graph::new(GraphKind::Ftg, "");
                 build::ftg_records(&mut g, part, vfd_empty);
@@ -296,21 +298,22 @@ impl PartialGraph {
             self.sdg_cache.clear();
             self.sdg_opts = Some(fingerprint);
         }
-        let geo = SdgGeometry {
-            opts,
+        let regions = Regions {
+            count: opts.region_count,
             file_extent: &self.file_extent,
             page: self.meta.page_size.max(1),
-            vfd_empty: self.vfd_total == 0,
         };
+        let vfd_empty = self.vfd_total == 0;
         let ordering = self.ordering();
         refresh_cache(
             &mut self.sdg_cache,
             &self.tasks,
             &ordering,
             self.geometry_rev,
+            opts.include_regions.then_some(&regions),
             |part| {
                 let mut g = Graph::new(GraphKind::Sdg, "");
-                build::sdg_records(&mut g, &mut LabelCache::default(), part, &geo);
+                build::sdg_records(&mut g, &mut LabelCache::default(), part, vfd_empty);
                 g
             },
         );
@@ -383,12 +386,14 @@ impl PartialGraph {
 }
 
 /// Rebuilds the cache entries that are stale for the current input
-/// versions, in parallel when the stale tasks hold enough records.
+/// versions, in parallel when the stale tasks hold enough records. Each
+/// stale task's VFD records are folded under `regions`.
 fn refresh_cache<F>(
     cache: &mut HashMap<TaskKey, CacheEntry>,
     tasks: &HashMap<TaskKey, TaskState>,
     ordering: &[TaskKey],
     geometry_rev: u64,
+    regions: Option<&Regions<'_>>,
     build: F,
 ) where
     F: Fn(&Partition<'_>) -> Graph + Sync,
@@ -411,7 +416,7 @@ fn refresh_cache<F>(
         .collect();
     let stale_records: usize = stale.iter().map(|(_, s)| s.records()).sum();
     let rebuild = |(t, s): &(&TaskKey, &TaskState)| {
-        let part = Partition::from_slices((*t).clone(), &s.vfd, &s.vol, &s.files);
+        let part = Partition::from_slices((*t).clone(), &s.vfd, &s.vol, &s.files, regions);
         ((*t).clone(), s.rev, build(&part))
     };
     let built: Vec<(TaskKey, u64, Graph)> = if stale_records >= PARALLEL_RECORD_THRESHOLD {

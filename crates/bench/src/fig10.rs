@@ -142,15 +142,31 @@ pub fn run(scale: Scale) -> FigResult {
 mod tests {
     use super::*;
 
+    /// Each component's fastest time over `runs`, in ns: input parser,
+    /// access tracker, characteristic mapper. Preemption only adds time,
+    /// so one preempted sample cannot decide a comparison of these.
+    fn fastest_ns(runs: &[Breakdown]) -> [f64; 3] {
+        let mut best = [f64::INFINITY; 3];
+        for b in runs {
+            assert!(b.total_ns > 0);
+            let shares = [b.input_parser, b.access_tracker, b.characteristic_mapper];
+            for (best, share) in best.iter_mut().zip(shares) {
+                *best = best.min(share * b.total_ns as f64);
+            }
+        }
+        best
+    }
+
+    /// The body moves 16 MiB: the Characteristic Mapper's time grows with
+    /// the op count, the Input Parser's one config parse does not, and at
+    /// 2 MiB the two are about equal.
     #[test]
     fn h5bench_dominated_by_characteristic_mapper() {
-        let b = h5bench_breakdown(2 << 20);
-        assert!(b.total_ns > 0);
+        let runs: Vec<Breakdown> = (0..3).map(|_| h5bench_breakdown(16 << 20)).collect();
+        let [ip, _, cm] = fastest_ns(&runs);
         assert!(
-            b.characteristic_mapper > b.input_parser,
-            "cm {:.2} vs ip {:.2}",
-            b.characteristic_mapper,
-            b.input_parser
+            cm > ip,
+            "cm {cm:.0} ns vs ip {ip:.0} ns, fastest of three runs"
         );
     }
 
@@ -158,17 +174,23 @@ mod tests {
     fn corner_case_access_tracker_grows() {
         // The paper's contrast: object churn shifts time toward the Access
         // Tracker relative to the bulk-I/O scenario.
-        let bulk = h5bench_breakdown(2 << 20);
-        let churn = corner_breakdown(100, 2000);
+        let bulk: Vec<Breakdown> = (0..3).map(|_| h5bench_breakdown(2 << 20)).collect();
+        let churn: Vec<Breakdown> = (0..3).map(|_| corner_breakdown(100, 2000)).collect();
+        let tracker_share = |runs: &[Breakdown]| {
+            let [ip, at, cm] = fastest_ns(runs);
+            at / (ip + at + cm)
+        };
+        let (churn_at, bulk_at) = (tracker_share(&churn), tracker_share(&bulk));
         assert!(
-            churn.access_tracker > bulk.access_tracker,
-            "churn shifts cost into the Access Tracker: {:.3} vs {:.3}",
-            churn.access_tracker,
-            bulk.access_tracker
+            churn_at > bulk_at,
+            "churn shifts cost into the Access Tracker: {churn_at:.3} vs {bulk_at:.3}, \
+             shares of the fastest times of three runs"
         );
         // Fractions form a distribution.
-        let sum = churn.input_parser + churn.access_tracker + churn.characteristic_mapper;
-        assert!((sum - 1.0).abs() < 1e-9);
+        for b in &churn {
+            let sum = b.input_parser + b.access_tracker + b.characteristic_mapper;
+            assert!((sum - 1.0).abs() < 1e-9);
+        }
     }
 
     #[test]

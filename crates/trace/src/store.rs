@@ -506,8 +506,9 @@ impl TraceBundle {
     }
 
     /// All distinct tasks mentioned anywhere in the bundle, in task-order
-    /// first, then any stragglers in record order. Dedup is a symbol-keyed
-    /// hash probe, so the scan stays linear in the record count.
+    /// first, then any stragglers in record order. Dedup is one
+    /// symbol-keyed hash probe per run of records naming the same task,
+    /// so the scan stays linear in the record count.
     pub fn all_tasks(&self) -> Vec<TaskKey> {
         let mut tasks = self.meta.task_order.clone();
         let mut seen: SymbolSet<TaskKey> = tasks.iter().cloned().collect();
@@ -516,14 +517,14 @@ impl TraceBundle {
                 tasks.push(t.clone());
             }
         };
-        for r in &self.vol {
-            push(&r.task);
+        for run in self.vol.chunk_by(|a, b| a.task == b.task) {
+            push(&run[0].task);
         }
-        for r in &self.vfd {
-            push(&r.task);
+        for run in self.vfd.chunk_by(|a, b| a.task == b.task) {
+            push(&run[0].task);
         }
-        for r in &self.files {
-            push(&r.task);
+        for run in self.files.chunk_by(|a, b| a.task == b.task) {
+            push(&run[0].task);
         }
         tasks
     }

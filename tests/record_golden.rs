@@ -18,17 +18,20 @@
 //! purpose, the failure message lists the new digests in `PINNED`'s
 //! format; review the change, then replace `PINNED`.
 //!
-//! The analysis of the corner case and of `ddmd` is pinned the same way
-//! in `ANALYSIS`: the `Debug` text of the FTG's and the SDG's nodes and
-//! edges (the SDG with and without region nodes), the detector findings
-//! and the advice built from them. A change to graph building or to a
-//! detector that alters any output on a recorded trace changes a digest.
+//! The analysis of those three recordings, and of `pyflextrkr` (with its
+//! input-preparation stage) and `arldm` recorded with `manual_clock`, is
+//! pinned the same way in `ANALYSIS`: the `Debug` text of the FTG's and
+//! the SDG's nodes and edges (the SDG with and without region nodes), the
+//! detector findings and the advice built from them. A change to graph
+//! building or to a detector that alters any output on a recorded trace
+//! changes a digest. On every one of them, `Analysis::run` must also
+//! build the graphs `build_ftg` and `build_sdg` build.
 
 use dayu_advisor::advise;
-use dayu_analyzer::{build_ftg, build_sdg, run_detectors, DetectorConfig, SdgOptions};
+use dayu_analyzer::{build_ftg, build_sdg, run_detectors, Analysis, DetectorConfig, SdgOptions};
 use dayu_core::mapper::{Mapper, MapperConfig};
 use dayu_core::workflow::{record_opts, RecordOptions};
-use dayu_core::workloads::ddmd;
+use dayu_core::workloads::{arldm, ddmd, pyflextrkr};
 use dayu_hdf::{DataType, DatasetBuilder, H5File, HdfError, Selection};
 use dayu_trace::sha256::{hex, sha256};
 use dayu_trace::time::ManualClock;
@@ -117,6 +120,102 @@ const ANALYSIS: &[(&str, &str)] = &[
         "ddmd.advice",
         "9b9fbf4be1028b3ff9ee317ff6270f219a5294679003749a81b8647e77d7f102",
     ),
+    (
+        "chunked_sweeps.ftg.nodes",
+        "f3959d1de1a39b32d15fbf437bb4b42821b270eba3cd39cbebbfefa09eff9152",
+    ),
+    (
+        "chunked_sweeps.ftg.edges",
+        "c8ff92ab38222e54002b8d6273332716c934b211d3c176db76b5b1ac4abc13bd",
+    ),
+    (
+        "chunked_sweeps.sdg_regions.nodes",
+        "b25d05443adbf5cd0cb53aad999d640361da045d9b25f94d192cf90ce00f5c05",
+    ),
+    (
+        "chunked_sweeps.sdg_regions.edges",
+        "b455cba58532848a856a7df12641e60d07f40a93c57e01267c40ea2f63df22d5",
+    ),
+    (
+        "chunked_sweeps.sdg.nodes",
+        "f9d454d8fa65e766a04563b05f587045e343f8b29290da1fb33384cd5aa6c461",
+    ),
+    (
+        "chunked_sweeps.sdg.edges",
+        "bf7deb28de93dbc8420c7ff58b1d131880706813168439eb9602db1d20f8be45",
+    ),
+    (
+        "chunked_sweeps.findings",
+        "5a1df1ee469635392add2e5968d7ab9bc38babd8b90614fb3efd8fec8d7184d2",
+    ),
+    (
+        "chunked_sweeps.advice",
+        "b4d2927d4dc40c7a31126d61bcf3639d965d2c328ab58c1fcf989f0037dd10d4",
+    ),
+    (
+        "pyflextrkr.ftg.nodes",
+        "e810cf8eded630622e8194af9a5f7f09a5204ea78a71894ac49970fe09cc0cd8",
+    ),
+    (
+        "pyflextrkr.ftg.edges",
+        "0e3dd540976b92a78b16fac2f35cd18a6c748ab23c52a143bfdc9170d6bec786",
+    ),
+    (
+        "pyflextrkr.sdg_regions.nodes",
+        "e3bee21edf840bc52b8a593b21c8515cfc1e6998265ac866756531bbbdb488e1",
+    ),
+    (
+        "pyflextrkr.sdg_regions.edges",
+        "40f6a0cd7c9d7e55b642f8e363a25f64fe3ed9b97c364463906b8bad1f96cbdb",
+    ),
+    (
+        "pyflextrkr.sdg.nodes",
+        "6e0c503df6897a0eef47bad2b84f0d66e3863afa2967561dd4d33dc48df50105",
+    ),
+    (
+        "pyflextrkr.sdg.edges",
+        "e7f8cf32b754f6f29d82bc0f5d25a6db07905afe6a016b243973bdd9833bbb02",
+    ),
+    (
+        "pyflextrkr.findings",
+        "a49ecb175aa66624342b3823c034e11efdd6b6a119fb03b580787429ef3b1250",
+    ),
+    (
+        "pyflextrkr.advice",
+        "4191ea6d8dff0af68f7c9b84cf46de833b5bc27ae3a2ae5076a36afa4b186d6a",
+    ),
+    (
+        "arldm.ftg.nodes",
+        "ff35989ba0d19745394b491fb9ad00d2d27937aba14880ac9fc9f2154a5e31eb",
+    ),
+    (
+        "arldm.ftg.edges",
+        "268563a6d41ebc922d403fd3d0418e722c4d2851fe341371af0847644525adad",
+    ),
+    (
+        "arldm.sdg_regions.nodes",
+        "c3d885f28d9bed3441cc96e79b384bd8605e8de920dfbb67fde0114d7b9cb835",
+    ),
+    (
+        "arldm.sdg_regions.edges",
+        "c4a41da705a067ff75c0df4f9ce3704192cdf4ecd4b761261df9a4fac6131877",
+    ),
+    (
+        "arldm.sdg.nodes",
+        "89a22252246115722a29878793fbf6e386662545d145f9a527eed3bab30313b2",
+    ),
+    (
+        "arldm.sdg.edges",
+        "a1f150663ddd9b6cd1321b47d8f22563200b44886f662d82aeaf26c56abb97f3",
+    ),
+    (
+        "arldm.findings",
+        "aa27a144da1f0297ff191317e95fd2c9b5a48b54b385ab875c40dfe0e481df24",
+    ),
+    (
+        "arldm.advice",
+        "f4363596ca187ae5645fc38a9d0b16fe308de9aefbff36215a7d04ec5a225b88",
+    ),
 ];
 
 /// The corner case on a manual clock: 50 datasets of 64 bytes, 500
@@ -163,17 +262,21 @@ fn corner_case() -> TraceBundle {
     mapper.into_bundle()
 }
 
-/// `ddmd` with 2 iterations, recorded with a manual clock.
-fn ddmd_two_iterations() -> TraceBundle {
-    let spec = ddmd::workflow(&ddmd::DdmdConfig {
-        iterations: 2,
-        ..Default::default()
-    });
+/// A workflow recorded with a manual clock.
+fn record_manual(spec: &dayu_core::workflow::WorkflowSpec) -> TraceBundle {
     let opts = RecordOptions {
         manual_clock: true,
         ..Default::default()
     };
-    record_opts(&spec, &MemFs::new(), &opts).unwrap().bundle
+    record_opts(spec, &MemFs::new(), &opts).unwrap().bundle
+}
+
+/// `ddmd` with 2 iterations, recorded with a manual clock.
+fn ddmd_two_iterations() -> TraceBundle {
+    record_manual(&ddmd::workflow(&ddmd::DdmdConfig {
+        iterations: 2,
+        ..Default::default()
+    }))
 }
 
 /// Chunked sweeps on a manual clock: a 1-D dataset of 64 chunks of
@@ -262,6 +365,15 @@ fn analysis_of_recorded_traces_matches_pinned_digests() {
     for (name, bundle) in [
         ("corner_case", corner_case()),
         ("ddmd", ddmd_two_iterations()),
+        ("chunked_sweeps", chunked_sweeps()),
+        (
+            "pyflextrkr",
+            record_manual(&pyflextrkr::workflow_with_inputs(&Default::default())),
+        ),
+        (
+            "arldm",
+            record_manual(&arldm::workflow(&Default::default())),
+        ),
     ] {
         let mut pin = |output: &str, text: String| {
             got.push((format!("{name}.{output}"), hex(&sha256(text.as_bytes()))));
@@ -278,6 +390,10 @@ fn analysis_of_recorded_traces_matches_pinned_digests() {
         let findings = run_detectors(&bundle, &ftg, &sdg, &DetectorConfig::default());
         pin("findings", format!("{findings:?}"));
         pin("advice", format!("{:?}", advise(&findings)));
+        let run = Analysis::run(&bundle);
+        assert!(run.ftg == ftg && run.sdg == sdg, "{name}: Analysis::run");
+        let run = Analysis::run_with(&bundle, &regions, &DetectorConfig::default());
+        assert!(run.ftg == ftg && run.sdg == sdg_regions, "{name}: regions");
     }
     let got: Vec<(&str, String)> = got.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
     assert_pinned(&got, ANALYSIS, "analysis outputs");
