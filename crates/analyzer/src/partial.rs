@@ -41,16 +41,10 @@ use crate::build::{self, LabelCache, Partition, Regions, SdgOptions};
 use crate::graph::{Graph, GraphKind, NodeKind};
 use dayu_trace::sha256::Digest;
 use dayu_trace::store::{TraceBundle, TraceMeta};
-use dayu_trace::sync::par_map;
 use dayu_trace::vfd::{FileRecord, VfdRecord};
 use dayu_trace::vol::VolRecord;
 use dayu_trace::{Symbol, SymbolMap, TaskKey};
 use std::collections::{HashMap, HashSet};
-
-/// Stale records (VFD, VOL and file records together) at which a snapshot
-/// rebuilds its stale per-task partials on [`par_map`]'s threads. Below
-/// it, thread hand-off costs more than it saves.
-pub const PARALLEL_RECORD_THRESHOLD: usize = 8192;
 
 /// Records retained for one task, in arrival (= within-task record) order.
 #[derive(Default)]
@@ -63,12 +57,6 @@ struct TaskState {
     rev: u64,
 }
 
-impl TaskState {
-    fn records(&self) -> usize {
-        self.vfd.len() + self.vol.len() + self.files.len()
-    }
-}
-
 /// A cached per-task partial graph and the input versions it reflects.
 struct CacheEntry {
     task_rev: u64,
@@ -76,7 +64,7 @@ struct CacheEntry {
     graph: Graph,
 }
 
-/// Mergeable, incrementally-buildable graph state for one workflow.
+/// Incrementally-buildable graph state for one workflow.
 #[derive(Default)]
 pub struct PartialGraph {
     meta: TraceMeta,
@@ -168,11 +156,10 @@ impl PartialGraph {
         self.task_nodes.len() + files
     }
 
-    /// Absorbs one decoded section, merging its meta with the same rules
-    /// as concatenated-trace reads (first workflow/page size win, task
-    /// orders extend, degraded/recovered sets union, stages and origin
-    /// first-non-empty win) and appending its records per task. Each run
-    /// of consecutive same-task records is appended with one task lookup.
+    /// Absorbs one decoded section, merging its meta by
+    /// [`TraceMeta::merge`], as concatenated-trace reads do, and appending
+    /// its records per task. Each run of consecutive same-task records is
+    /// appended with one task lookup.
     pub fn absorb(&mut self, section: &TraceBundle) {
         self.absorb_meta(&section.meta);
         self.retained += Self::section_bytes(section);
@@ -215,37 +202,6 @@ impl PartialGraph {
         }
         self.absorb(section);
         true
-    }
-
-    /// Merges another partial graph into this one, exactly as if `other`'s
-    /// sections had been absorbed here in their original arrival order.
-    pub fn merge(&mut self, other: PartialGraph) {
-        self.absorb_meta(&other.meta);
-        for task in other.arrival {
-            let state = &other.tasks[&task];
-            for r in &state.vfd {
-                if r.kind.moves_data() {
-                    let e = self.file_extent.entry(r.file.symbol()).or_default();
-                    let end = r.offset.saturating_add(r.len);
-                    if end > *e {
-                        *e = end;
-                        self.geometry_rev += 1;
-                    }
-                }
-                if self.vfd_total == 0 {
-                    self.geometry_rev += 1;
-                }
-                self.vfd_total += 1;
-            }
-            self.record_total += state.records();
-            let into = self.task_state(&task);
-            into.vfd.extend(state.vfd.iter().cloned());
-            into.vol.extend(state.vol.iter().cloned());
-            into.files.extend(state.files.iter().cloned());
-        }
-        self.retained += other.retained;
-        self.record_files.extend(other.record_files);
-        self.digests.extend(other.digests);
     }
 
     /// Reconstructs the merged bundle: full meta, records grouped by task
@@ -351,43 +307,16 @@ impl PartialGraph {
     fn absorb_meta(&mut self, m: &TraceMeta) {
         self.task_nodes
             .extend(m.task_order.iter().map(TaskKey::symbol));
-        if self.saw_meta {
-            for t in &m.task_order {
-                if !self.meta.task_order.contains(t) {
-                    self.meta.task_order.push(t.clone());
-                }
-            }
-            if self.meta.stages.is_empty() {
-                self.meta.stages = m.stages.clone();
-            }
-            if self.meta.origin.is_none() {
-                self.meta.origin = m.origin.clone();
-            }
-        } else {
-            self.meta = TraceMeta {
-                degraded_tasks: Vec::new(),
-                recovered_tasks: Vec::new(),
-                ..m.clone()
-            };
+        if !self.saw_meta {
+            self.meta.clone_from(m);
             self.saw_meta = true;
         }
-        // Re-mark sorted+deduped, as every trace read path does.
-        for t in &m.degraded_tasks {
-            if let Err(at) = self.meta.degraded_tasks.binary_search(t) {
-                self.meta.degraded_tasks.insert(at, t.clone());
-            }
-        }
-        for t in &m.recovered_tasks {
-            if let Err(at) = self.meta.recovered_tasks.binary_search(t) {
-                self.meta.recovered_tasks.insert(at, t.clone());
-            }
-        }
+        self.meta.merge(m);
     }
 }
 
 /// Rebuilds the cache entries that are stale for the current input
-/// versions, in parallel when the stale tasks hold enough records. Each
-/// stale task's VFD records are folded under `regions`.
+/// versions. Each stale task's VFD records are folded under `regions`.
 fn refresh_cache<F>(
     cache: &mut HashMap<TaskKey, CacheEntry>,
     tasks: &HashMap<TaskKey, TaskState>,
@@ -396,7 +325,7 @@ fn refresh_cache<F>(
     regions: Option<&Regions<'_>>,
     build: F,
 ) where
-    F: Fn(&Partition<'_>) -> Graph + Sync,
+    F: Fn(&Partition<'_>) -> Graph,
 {
     static EMPTY: TaskState = TaskState {
         vfd: Vec::new(),
@@ -404,31 +333,20 @@ fn refresh_cache<F>(
         files: Vec::new(),
         rev: 0,
     };
-    let stale: Vec<(&TaskKey, &TaskState)> = ordering
-        .iter()
-        .map(|t| (t, tasks.get(t).unwrap_or(&EMPTY)))
-        .filter(|(t, s)| {
-            cache
-                .get(*t)
-                .map(|c| c.task_rev != s.rev || c.geometry_rev != geometry_rev)
-                .unwrap_or(true)
-        })
-        .collect();
-    let stale_records: usize = stale.iter().map(|(_, s)| s.records()).sum();
-    let rebuild = |(t, s): &(&TaskKey, &TaskState)| {
-        let part = Partition::from_slices((*t).clone(), &s.vfd, &s.vol, &s.files, regions);
-        ((*t).clone(), s.rev, build(&part))
-    };
-    let built: Vec<(TaskKey, u64, Graph)> = if stale_records >= PARALLEL_RECORD_THRESHOLD {
-        par_map(&stale, rebuild)
-    } else {
-        stale.iter().map(rebuild).collect()
-    };
-    for (task, task_rev, graph) in built {
+    for t in ordering {
+        let s = tasks.get(t).unwrap_or(&EMPTY);
+        let fresh = cache
+            .get(t)
+            .is_some_and(|c| c.task_rev == s.rev && c.geometry_rev == geometry_rev);
+        if fresh {
+            continue;
+        }
+        let part = Partition::from_slices(t.clone(), &s.vfd, &s.vol, &s.files, regions);
+        let graph = build(&part);
         cache.insert(
-            task,
+            t.clone(),
             CacheEntry {
-                task_rev,
+                task_rev: s.rev,
                 geometry_rev,
                 graph,
             },
@@ -609,26 +527,6 @@ mod tests {
             assert!(!pg.absorb_unique(digest, &s), "duplicate must be dropped");
         }
         assert_identical(&pg.snapshot_ftg(), &build_ftg(&b));
-    }
-
-    #[test]
-    fn merge_of_split_states_matches_sequential_absorb() {
-        let b = sample_bundle();
-        let sections = b.split_per_task();
-        let mut left = PartialGraph::new();
-        let mut right = PartialGraph::new();
-        for (i, s) in sections.iter().enumerate() {
-            if i % 2 == 0 { &mut left } else { &mut right }.absorb(s);
-        }
-        left.merge(right);
-        let mut seq = PartialGraph::new();
-        for s in &sections {
-            seq.absorb(s);
-        }
-        // Orders differ (left absorbed 0,2 then 1), but every task is in
-        // task_order so the snapshots are identical.
-        assert_identical(&left.snapshot_ftg(), &seq.snapshot_ftg());
-        assert_identical(&left.snapshot_ftg(), &build_ftg(&b));
     }
 
     #[test]

@@ -1,12 +1,8 @@
 //! Incremental graph snapshots must be *identical* to the batch build:
-//! [`PartialGraph`] builds one partial graph per task, above
-//! `PARALLEL_RECORD_THRESHOLD` stale records on `par_map`'s threads, and
-//! folds the partials sequentially in task order, so neither the fold nor
-//! thread scheduling can leak into node ids, edge order, or statistics.
-//! (`dayu_trace::sync`'s unit tests show that `par_map` itself returns
-//! the same results at every width.)
+//! [`PartialGraph`] builds one partial graph per task and folds the
+//! partials in task order, so the fold cannot leak into node ids, edge
+//! order, or statistics.
 
-use dayu_analyzer::partial::PARALLEL_RECORD_THRESHOLD;
 use dayu_analyzer::{build_ftg, build_sdg, PartialGraph, SdgOptions};
 use dayu_trace::ids::{FileKey, ObjectKey, TaskKey};
 use dayu_trace::time::Timestamp;
@@ -78,9 +74,8 @@ fn absorbed(bundle: &TraceBundle) -> PartialGraph {
 }
 
 #[test]
-fn parallel_snapshots_are_identical_to_batch_build() {
+fn snapshots_are_identical_to_batch_build() {
     let bundle = synthetic_bundle(8, 1100);
-    assert!(bundle.vfd.len() >= PARALLEL_RECORD_THRESHOLD);
     let opts = SdgOptions {
         include_regions: true,
         region_count: 4,
@@ -95,8 +90,7 @@ fn parallel_snapshots_are_identical_to_batch_build() {
 
 #[test]
 fn repeated_snapshots_are_stable() {
-    // Repetition: cached partials and scheduling differences between
-    // snapshots must not show either.
+    // Repetition: cached partials must not show either.
     let bundle = synthetic_bundle(4, 25);
     let first = build_ftg(&bundle);
     let mut pg = absorbed(&bundle);

@@ -11,7 +11,7 @@ use dayu_trace::rng::{cases, ChaosRng};
 use dayu_trace::time::{Interval, Timestamp};
 use dayu_trace::vfd::{AccessType, FileRecord, IoKind, VfdRecord};
 use dayu_trace::vol::{ObjectDescription, ObjectKind, VolAccess, VolAccessKind, VolRecord};
-use dayu_trace::{sha256, TraceBundle};
+use dayu_trace::{sha256, TraceBundle, TraceMeta, TraceOrigin};
 use std::collections::HashSet;
 
 const TASKS: [&str; 4] = ["prep", "sim", "reduce", "plot"];
@@ -184,31 +184,91 @@ fn duplication_and_interim_snapshots_are_harmless() {
     );
 }
 
-/// Splitting the section stream across two partial graphs and merging
-/// them equals absorbing everything into one.
-#[test]
-fn merged_partials_match_batch() {
-    cases("merged_partials_match_batch", 48, |rng| {
-        let b = arb_bundle(rng);
-        let mask = rng.range(0, u64::from(u32::MAX)) as u32;
-        let sections = b.split_per_task();
-        let mut left = PartialGraph::new();
-        let mut right = PartialGraph::new();
-        for (i, sec) in sections.iter().enumerate() {
-            let side = if mask >> (i % 32) & 1 == 0 {
-                &mut left
-            } else {
-                &mut right
-            };
-            side.absorb(sec);
-            assert_counters(side);
+/// 0–4 of the tasks, in any order, repeats allowed.
+fn arb_tasks(rng: &mut ChaosRng) -> Vec<TaskKey> {
+    (0..rng.range(0, 5))
+        .map(|_| TaskKey::new(TASKS[rng.range(0, TASKS.len() as u64) as usize]))
+        .collect()
+}
+
+/// The meta of section `i`: an order that may overlap the others, repeat
+/// a task, name a task no other section names or be empty; unsorted sets
+/// with repeats; stages and origin present or not.
+fn arb_meta(rng: &mut ChaosRng, i: usize) -> TraceMeta {
+    let mut task_order = arb_tasks(rng);
+    if rng.chance(0.3) {
+        task_order.push(TaskKey::new(format!("only_{i}")));
+    }
+    if !task_order.is_empty() && rng.chance(0.3) {
+        let again = task_order[rng.range(0, task_order.len() as u64) as usize].clone();
+        task_order.push(again);
+    }
+    TraceMeta {
+        workflow: format!("wf{}", rng.range(0, 3)),
+        task_order,
+        page_size: rng.range(0, 1 << 16),
+        degraded_tasks: arb_tasks(rng),
+        recovered_tasks: arb_tasks(rng),
+        stages: if rng.chance(0.5) {
+            (0..rng.range(1, 4)).map(|_| arb_tasks(rng)).collect()
+        } else {
+            Vec::new()
+        },
+        origin: rng.chance(0.5).then(|| TraceOrigin {
+            workload: format!("w{}", rng.range(0, 3)),
+            params: "default".into(),
+            tool_version: "0.1.0".into(),
+        }),
+    }
+}
+
+/// The merge rule every join of trace sections keeps: the first meta's
+/// workflow, page size and task order (repeats included) stand; each
+/// later order appends the tasks it names that are not yet present, in
+/// order; degraded and recovered sets are the sorted union of every
+/// meta's, without repeats; stages and origin take the first non-empty
+/// value.
+fn expected_meta(metas: &[TraceMeta]) -> TraceMeta {
+    let (first, later) = metas.split_first().expect("at least one meta");
+    let mut out = first.clone();
+    for m in later {
+        for t in &m.task_order {
+            if !out.task_order.contains(t) {
+                out.task_order.push(t.clone());
+            }
         }
-        left.merge(right);
-        assert_counters(&mut left);
-        assert_identical(&left.snapshot_ftg(), &build_ftg(&b));
-        assert_identical(
-            &left.snapshot_sdg(&SdgOptions::default()),
-            &build_sdg(&b, &SdgOptions::default()),
-        );
+        if out.stages.is_empty() {
+            out.stages = m.stages.clone();
+        }
+        if out.origin.is_none() {
+            out.origin = m.origin.clone();
+        }
+    }
+    let union = |set: fn(&TraceMeta) -> &Vec<TaskKey>| {
+        let mut all: Vec<TaskKey> = metas.iter().flat_map(set).cloned().collect();
+        all.sort();
+        all.dedup();
+        all
+    };
+    out.degraded_tasks = union(|m| &m.degraded_tasks);
+    out.recovered_tasks = union(|m| &m.recovered_tasks);
+    out
+}
+
+/// Absorbed sections merge their metas by the rule concatenated reads and
+/// `TraceBundle::merge` keep.
+#[test]
+fn absorbed_sections_merge_meta_by_one_rule() {
+    cases("absorbed_sections_merge_meta_by_one_rule", 256, |rng| {
+        let metas: Vec<TraceMeta> = (0..rng.range(1, 5) as usize)
+            .map(|i| arb_meta(rng, i))
+            .collect();
+        let mut pg = PartialGraph::new();
+        for meta in &metas {
+            let mut section = arb_bundle(rng);
+            section.meta = meta.clone();
+            pg.absorb(&section);
+        }
+        assert_eq!(pg.to_bundle().meta, expected_meta(&metas));
     });
 }

@@ -55,7 +55,7 @@ use dayu_trace::json::{ToJson, Writer};
 use dayu_trace::to_json;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// How big to run a regenerator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -321,13 +321,22 @@ pub fn throughput(bytes: u64, ns: u64) -> f64 {
 
 /// Runs `f` `repeats` times (at least once) and returns the fastest wall
 /// time in nanoseconds with that run's result.
-pub fn min_over<R>(repeats: usize, mut f: impl FnMut() -> R) -> (u64, R) {
+pub fn min_over<R>(repeats: usize, f: impl FnMut() -> R) -> (u64, R) {
+    min_filling(repeats, Duration::ZERO, f)
+}
+
+/// Like [`min_over`], but runs `f` until the runs have also taken at
+/// least `total` together, so a fast call is timed many times.
+pub fn min_filling<R>(repeats: usize, total: Duration, mut f: impl FnMut() -> R) -> (u64, R) {
+    let start = Instant::now();
+    let mut runs = 0;
     let mut best_ns = u64::MAX;
     let mut best = None;
-    for _ in 0..repeats.max(1) {
+    while runs < repeats.max(1) || start.elapsed() < total {
         let t0 = Instant::now();
         let r = f();
         let ns = t0.elapsed().as_nanos() as u64;
+        runs += 1;
         if ns < best_ns {
             best_ns = ns;
             best = Some(r);
@@ -496,5 +505,10 @@ mod tests {
         });
         assert_eq!((calls, last), (1, 1), "zero repeats still run once");
         assert!(ns < u64::MAX);
+        let mut calls = 0;
+        let total = Duration::from_millis(5);
+        let start = Instant::now();
+        min_filling(2, total, || calls += 1);
+        assert!(calls >= 2 && start.elapsed() >= total);
     }
 }

@@ -18,22 +18,25 @@
 //! At full scale the report also climbs the **ddmd ladder**: ddmd recorded
 //! at 3, 30 and 100 iterations, saved as `.dtb` and reloaded, with each
 //! rung's record count, its `.dtb` encode, decode and `Analysis::run`
-//! costs per record and the process's peak RSS after the rung. Analysis
-//! must stay linear: the cost per record at the top rung may be at most
-//! [`LADDER_RATIO_CEILING`] times the bottom rung's.
+//! costs per record, the process's peak RSS after them, and the cost per
+//! record of absorbing the rung's per-task sections into a fresh
+//! `PartialGraph`, as the ingest service does. Analysis must stay linear:
+//! the cost per record at the top rung may be at most
+//! [`LADDER_RATIO_CEILING`] times the bottom rung's, timed in paired
+//! rounds ([`LADDER_GATE_ROUNDS`]).
 //!
 //! ```text
 //! cargo run --release -p dayu-bench -- pipeline [--smoke] [--check] [--out PATH]
 //! ```
 
-use crate::{min_over, Report, Scale};
-use dayu_analyzer::{build_ftg, build_sdg, Analysis, SdgOptions};
+use crate::{min_filling, Report, Scale};
+use dayu_analyzer::{build_ftg, build_sdg, Analysis, PartialGraph, SdgOptions};
 use dayu_trace::{TraceBundle, TraceFormat};
 use dayu_vfd::MemFs;
 use dayu_workflow::record;
 use dayu_workloads::ddmd::{self, DdmdConfig};
 use dayu_workloads::{corner_case, Backend, Instrumentation};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Pipeline benchmark parameters.
 #[derive(Clone, Debug)]
@@ -122,7 +125,7 @@ pub struct WorkloadReport {
 
 impl WorkloadReport {
     fn from_bundle(name: String, bundle: TraceBundle, record_ns: u64) -> Self {
-        let records = (bundle.vfd.len() + bundle.vol.len() + bundle.files.len()) as u64;
+        let records = records(&bundle) as u64;
         let (jsonl, _) = FormatTimings::measure(&bundle, TraceFormat::Jsonl);
         let (binary, reloaded) = FormatTimings::measure(&bundle, TraceFormat::Binary);
 
@@ -256,6 +259,34 @@ pub const LADDER_ITERATIONS: [usize; 3] = [3, 30, 100];
 /// bottom rung's.
 pub const LADDER_RATIO_CEILING: f64 = 3.0;
 
+/// Each rung's timing is the fastest of at least [`LADDER_MIN_RUNS`] runs
+/// that take at least this long together, so the bottom rung's
+/// millisecond-long analysis is timed about a hundred times and one
+/// preempted run cannot set its row.
+pub const LADDER_MIN_TIME: Duration = Duration::from_millis(100);
+
+/// Fewest runs behind each rung's timing.
+pub const LADDER_MIN_RUNS: usize = 3;
+
+/// Paired rounds behind the linearity gate. Each round times the bottom
+/// rung's `Analysis::run` back to back as often as it takes to cover the
+/// top rung's records, then the top rung's once, so the two halves see
+/// the same machine load; the gate reads the median round. A ratio of
+/// two rows, timed seconds apart, swung with the load of a busy machine
+/// even when each row was the fastest of a hundred runs.
+pub const LADDER_GATE_ROUNDS: usize = 7;
+
+/// The ddmd ladder's measurements.
+#[derive(Clone, Debug, Default)]
+pub struct Ladder {
+    /// One rung per iteration count, ascending.
+    pub rungs: Vec<LadderRung>,
+    /// The top rung's `Analysis::run` cost per record over the bottom
+    /// rung's, in [`LADDER_GATE_ROUNDS`] paired rounds (`None` with fewer
+    /// than two rungs).
+    pub analysis_ratio: Option<f64>,
+}
+
 /// One rung of the ddmd ladder.
 #[derive(Clone, Debug)]
 pub struct LadderRung {
@@ -263,69 +294,99 @@ pub struct LadderRung {
     pub iterations: usize,
     /// Total trace records (VFD + VOL + file).
     pub records: u64,
-    /// Fastest of three `to_binary_bytes` of the recorded bundle,
-    /// nanoseconds.
+    /// Fastest `to_binary_bytes` of the recorded bundle, nanoseconds.
     pub encode_ns: u64,
-    /// Fastest of three `TraceBundle::load`s of its `.dtb`, nanoseconds.
+    /// Fastest `TraceBundle::load` of its `.dtb`, nanoseconds.
     pub decode_ns: u64,
-    /// Fastest of three `Analysis::run`s over the reloaded bundle,
-    /// nanoseconds.
+    /// Fastest `Analysis::run` over the reloaded bundle, nanoseconds.
     pub analysis_ns: u64,
-    /// Peak resident set of the process after the rung, MiB (`None` where
-    /// the platform does not report it).
+    /// Fastest absorb of the reloaded bundle's `split_per_task` sections
+    /// into a fresh `PartialGraph`, nanoseconds.
+    pub absorb_ns: u64,
+    /// Peak resident set of the process after the analysis and before the
+    /// absorb, MiB (`None` where the platform does not report it).
     pub peak_rss_mb: Option<f64>,
 }
 
-impl LadderRung {
-    fn per_record(&self, ns: u64) -> f64 {
-        ns as f64 / self.records.max(1) as f64
+/// Records ddmd at each of `iterations`, saves and reloads the trace in
+/// the binary format only, and times the encode, the decode, the analysis
+/// and the absorb of its per-task sections, each by [`min_filling`] over
+/// [`LADDER_MIN_RUNS`] and [`LADDER_MIN_TIME`]; then the gate's paired
+/// rounds on the bottom and top rungs.
+pub fn ddmd_ladder(iterations: &[usize]) -> Ladder {
+    let mut ladder = Ladder::default();
+    let mut bottom_dtb = None;
+    for (i, &n) in iterations.iter().enumerate() {
+        let dcfg = DdmdConfig {
+            iterations: n,
+            ..Default::default()
+        };
+        let recorded = record(&ddmd::workflow(&dcfg), &MemFs::new())
+            .expect("record ddmd")
+            .bundle;
+        let (encode_ns, dtb) = min_filling(LADDER_MIN_RUNS, LADDER_MIN_TIME, || {
+            recorded.to_binary_bytes()
+        });
+        drop(recorded);
+        let (decode_ns, bundle) = min_filling(LADDER_MIN_RUNS, LADDER_MIN_TIME, || {
+            TraceBundle::load(&dtb[..]).expect("load")
+        });
+        let (analysis_ns, _) =
+            min_filling(LADDER_MIN_RUNS, LADDER_MIN_TIME, || Analysis::run(&bundle));
+        let peak_rss_mb = peak_rss_mb();
+        let sections = bundle.split_per_task();
+        let (absorb_ns, _) = min_filling(LADDER_MIN_RUNS, LADDER_MIN_TIME, || {
+            let mut pg = PartialGraph::new();
+            for s in &sections {
+                pg.absorb(s);
+            }
+            pg
+        });
+        ladder.rungs.push(LadderRung {
+            iterations: n,
+            records: records(&bundle) as u64,
+            encode_ns,
+            decode_ns,
+            analysis_ns,
+            absorb_ns,
+            peak_rss_mb,
+        });
+        match &bottom_dtb {
+            None => bottom_dtb = Some(dtb),
+            Some(bottom) if i + 1 == iterations.len() => {
+                let bottom = TraceBundle::load(&bottom[..]).expect("load");
+                ladder.analysis_ratio = Some(paired_ratio(&bottom, &bundle));
+            }
+            Some(_) => {}
+        }
     }
-
-    /// `.dtb` encode nanoseconds per trace record.
-    pub fn encode_ns_per_record(&self) -> f64 {
-        self.per_record(self.encode_ns)
-    }
-
-    /// `.dtb` decode nanoseconds per trace record.
-    pub fn decode_ns_per_record(&self) -> f64 {
-        self.per_record(self.decode_ns)
-    }
-
-    /// `Analysis::run` nanoseconds per trace record.
-    pub fn analysis_ns_per_record(&self) -> f64 {
-        self.per_record(self.analysis_ns)
-    }
+    ladder
 }
 
-/// Records ddmd at each of `iterations`, saves and reloads the trace in
-/// the binary format only, and times the encode, the decode and the
-/// analysis.
-pub fn ddmd_ladder(iterations: &[usize]) -> Vec<LadderRung> {
-    iterations
-        .iter()
-        .map(|&n| {
-            let dcfg = DdmdConfig {
-                iterations: n,
-                ..Default::default()
-            };
-            let recorded = record(&ddmd::workflow(&dcfg), &MemFs::new())
-                .expect("record ddmd")
-                .bundle;
-            let (encode_ns, dtb) = min_over(3, || recorded.to_binary_bytes());
-            drop(recorded);
-            let (decode_ns, bundle) = min_over(3, || TraceBundle::load(&dtb[..]).expect("load"));
-            let records = (bundle.vfd.len() + bundle.vol.len() + bundle.files.len()) as u64;
-            let (analysis_ns, _) = min_over(3, || Analysis::run(&bundle));
-            LadderRung {
-                iterations: n,
-                records,
-                encode_ns,
-                decode_ns,
-                analysis_ns,
-                peak_rss_mb: peak_rss_mb(),
-            }
+/// Trace records (VFD + VOL + file) in `b`.
+fn records(b: &TraceBundle) -> usize {
+    b.vfd.len() + b.vol.len() + b.files.len()
+}
+
+/// The median over [`LADDER_GATE_ROUNDS`] paired rounds of `top`'s
+/// `Analysis::run` cost per record over `bottom`'s.
+fn paired_ratio(bottom: &TraceBundle, top: &TraceBundle) -> f64 {
+    let repeats = (records(top) / records(bottom).max(1)).max(1);
+    let ns_per_record = |b: &TraceBundle, runs: usize| {
+        let t0 = Instant::now();
+        for _ in 0..runs {
+            drop(Analysis::run(b));
+        }
+        t0.elapsed().as_nanos() as f64 / (runs * records(b).max(1)) as f64
+    };
+    let mut ratios: Vec<f64> = (0..LADDER_GATE_ROUNDS)
+        .map(|_| {
+            let low = ns_per_record(bottom, repeats);
+            ns_per_record(top, 1) / low
         })
-        .collect()
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
 }
 
 /// `VmHWM` (peak resident set) of this process, MiB.
@@ -337,20 +398,24 @@ fn peak_rss_mb() -> Option<f64> {
 }
 
 /// Adds the ladder's rows, and with two rungs or more the linearity gate.
-fn add_ladder(r: &mut Report, rungs: &[LadderRung]) {
-    for rung in rungs {
+fn add_ladder(r: &mut Report, ladder: &Ladder) {
+    for rung in &ladder.rungs {
         let n = |m: &str| format!("ddmd_ladder.i{}.{m}", rung.iterations);
+        let per_record = |ns: u64| ns as f64 / rung.records.max(1) as f64;
         r.metric(n("records"), rung.records as f64, "records");
-        r.metric(n("encode_ns_per_record"), rung.encode_ns_per_record(), "ns");
-        r.metric(n("decode_ns_per_record"), rung.decode_ns_per_record(), "ns");
-        let per_record = rung.analysis_ns_per_record();
-        r.metric(n("analysis_ns_per_record"), per_record, "ns");
+        r.metric(n("encode_ns_per_record"), per_record(rung.encode_ns), "ns");
+        r.metric(n("decode_ns_per_record"), per_record(rung.decode_ns), "ns");
+        r.metric(
+            n("analysis_ns_per_record"),
+            per_record(rung.analysis_ns),
+            "ns",
+        );
+        r.metric(n("absorb_ns_per_record"), per_record(rung.absorb_ns), "ns");
         if let Some(mb) = rung.peak_rss_mb {
             r.metric(n("peak_rss_mb"), mb, "MiB");
         }
     }
-    if let [first, .., last] = rungs {
-        let ratio = last.analysis_ns_per_record() / first.analysis_ns_per_record();
+    if let Some(ratio) = ladder.analysis_ratio {
         r.ceiling(
             "ddmd_ladder.analysis_per_record_ratio",
             ratio,
@@ -384,7 +449,7 @@ pub fn report(cfg: &PipelineConfig, workloads: &[WorkloadReport]) -> Report {
 pub fn bench(scale: Scale) -> Report {
     let cfg = PipelineConfig::new(scale);
     let ladder = match scale {
-        Scale::Quick => Vec::new(),
+        Scale::Quick => Ladder::default(),
         Scale::Full => ddmd_ladder(&LADDER_ITERATIONS),
     };
     let mut r = report(&cfg, &run(&cfg));
@@ -476,46 +541,37 @@ mod tests {
 
     #[test]
     fn ladder_rows_and_linearity_gate() {
-        let rungs = ddmd_ladder(&[1, 2]);
+        let ladder = ddmd_ladder(&[1, 2]);
+        let rungs = &ladder.rungs;
         assert!(rungs[0].records > 0 && rungs[1].records > rungs[0].records);
         let mut r = Report::new("pipeline", Scale::Full);
-        add_ladder(&mut r, &rungs);
+        add_ladder(&mut r, &ladder);
         for m in [
             "records",
             "encode_ns_per_record",
             "decode_ns_per_record",
             "analysis_ns_per_record",
+            "absorb_ns_per_record",
         ] {
             assert!(r.metrics.contains_key(&format!("ddmd_ladder.i2.{m}")));
         }
         assert_gated(&r, &["ddmd_ladder.analysis_per_record_ratio"]);
 
-        let rung = |iterations, records, analysis_ns| LadderRung {
-            iterations,
-            records,
-            encode_ns: 0,
-            decode_ns: 0,
-            analysis_ns,
-            peak_rss_mb: None,
+        let gate = |analysis_ratio| {
+            let mut r = Report::new("pipeline", Scale::Full);
+            let ladder = Ladder {
+                rungs: Vec::new(),
+                analysis_ratio,
+            };
+            add_ladder(&mut r, &ladder);
+            r
         };
-        let mut linear = Report::new("pipeline", Scale::Full);
-        add_ladder(
-            &mut linear,
-            &[rung(3, 100, 1_000), rung(100, 3_000, 90_000)],
-        );
-        assert!(linear.failures().is_empty());
-        let mut superlinear = Report::new("pipeline", Scale::Full);
-        add_ladder(
-            &mut superlinear,
-            &[rung(3, 100, 1_000), rung(100, 3_000, 90_001)],
-        );
+        assert!(gate(Some(3.0)).failures().is_empty());
         assert_eq!(
-            failing(&superlinear),
+            failing(&gate(Some(3.001))),
             ["ddmd_ladder.analysis_per_record_ratio"]
         );
-        let mut one = Report::new("pipeline", Scale::Full);
-        add_ladder(&mut one, &[rung(3, 100, 1_000)]);
-        assert!(!one
+        assert!(!gate(None)
             .metrics
             .contains_key("ddmd_ladder.analysis_per_record_ratio"));
     }

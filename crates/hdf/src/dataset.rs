@@ -126,7 +126,7 @@ impl Dataset {
         }
 
         let ctx = lock(&core).ctx.clone();
-        let (header_addr, chunk) = ctx.with_object(key.clone(), AccessType::Metadata, || {
+        let (header_addr, chunk) = ctx.with_object(key.clone(), || {
             let (layout_msg, chunk) = match builder.layout {
                 LayoutKind::Compact => {
                     if total_bytes > COMPACT_MAX {
@@ -200,7 +200,7 @@ impl Dataset {
         let path = parent.make_child_path(name);
         let key = ObjectKey::new(path.clone());
         let ctx = lock(&core).ctx.clone();
-        let (header_addr, header) = ctx.with_object(key.clone(), AccessType::Metadata, || {
+        let (header_addr, header) = ctx.with_object(key.clone(), || {
             let (addr, kind) = parent.lookup_child(name)?;
             if kind != ObjectKind::Dataset {
                 return Err(HdfError::TypeMismatch(format!("{path} is not a dataset")));
@@ -368,23 +368,19 @@ impl Dataset {
 
     fn raw_write(&mut self, sel: &Selection, data: &[u8], esize: u64) -> Result<()> {
         let ctx = lock(&self.core).ctx.clone();
-        ctx.with_object(self.key.clone(), AccessType::RawData, || {
-            match self.layout {
-                LayoutKind::Compact => self.compact_write(sel, data, esize),
-                LayoutKind::Contiguous => self.contiguous_write(sel, data, esize),
-                LayoutKind::Chunked => self.chunked_write(sel, data, esize),
-            }
+        ctx.with_object(self.key.clone(), || match self.layout {
+            LayoutKind::Compact => self.compact_write(sel, data, esize),
+            LayoutKind::Contiguous => self.contiguous_write(sel, data, esize),
+            LayoutKind::Chunked => self.chunked_write(sel, data, esize),
         })
     }
 
     fn raw_read(&mut self, sel: &Selection, esize: u64) -> Result<Vec<u8>> {
         let ctx = lock(&self.core).ctx.clone();
-        ctx.with_object(self.key.clone(), AccessType::RawData, || {
-            match self.layout {
-                LayoutKind::Compact => self.compact_read(sel, esize),
-                LayoutKind::Contiguous => self.contiguous_read(sel, esize),
-                LayoutKind::Chunked => self.chunked_read(sel, esize),
-            }
+        ctx.with_object(self.key.clone(), || match self.layout {
+            LayoutKind::Compact => self.compact_read(sel, esize),
+            LayoutKind::Contiguous => self.contiguous_read(sel, esize),
+            LayoutKind::Chunked => self.chunked_read(sel, esize),
         })
     }
 
@@ -542,7 +538,7 @@ impl Dataset {
         self.fire_access(VolAccessKind::Write, payload, Some(&sel));
 
         let ctx = lock(&self.core).ctx.clone();
-        ctx.with_object(self.key.clone(), AccessType::RawData, || {
+        ctx.with_object(self.key.clone(), || {
             // Payloads to the global heap.
             let mut descriptors = Vec::with_capacity(items.len() * HeapRef::SIZE as usize);
             {
@@ -581,7 +577,7 @@ impl Dataset {
         sel.validate(&self.shape)?;
 
         let ctx = lock(&self.core).ctx.clone();
-        let (items, payload) = ctx.with_object(self.key.clone(), AccessType::RawData, || {
+        let (items, payload) = ctx.with_object(self.key.clone(), || {
             let descriptors = match self.layout {
                 LayoutKind::Compact => self.compact_read(&sel, HeapRef::SIZE),
                 LayoutKind::Contiguous => self.contiguous_read(&sel, HeapRef::SIZE),
@@ -700,7 +696,7 @@ impl Dataset {
         }
         if let Some(state) = self.chunk.as_mut() {
             let ctx = lock(&self.core).ctx.clone();
-            ctx.with_object(self.key.clone(), AccessType::RawData, || {
+            ctx.with_object(self.key.clone(), || {
                 let mut core = lock(&self.core);
                 core.check_open()?;
                 state.cache.flush(&mut core.rf, &mut state.index)?;
@@ -709,7 +705,7 @@ impl Dataset {
         }
         if self.vl_pending > 0 {
             let ctx = lock(&self.core).ctx.clone();
-            ctx.with_object(self.key.clone(), AccessType::Metadata, || {
+            ctx.with_object(self.key.clone(), || {
                 let mut core = lock(&self.core);
                 core.check_open()?;
                 let mut header = core.load_header(self.header_addr)?;

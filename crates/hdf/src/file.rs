@@ -514,7 +514,39 @@ mod tests {
     use super::*;
     use crate::{DatasetBuilder, Selection};
     use dayu_trace::vol::DataType;
-    use dayu_vfd::{CountingVfd, MemFs, MemVfd, OpCounters};
+    use dayu_vfd::{MemFs, MemVfd};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A memory driver that counts its writes.
+    struct WriteCounter {
+        inner: MemVfd,
+        writes: Arc<AtomicUsize>,
+    }
+
+    impl Vfd for WriteCounter {
+        fn read(
+            &mut self,
+            offset: u64,
+            buf: &mut [u8],
+            access: AccessType,
+        ) -> dayu_vfd::Result<()> {
+            self.inner.read(offset, buf, access)
+        }
+        fn write(&mut self, offset: u64, data: &[u8], access: AccessType) -> dayu_vfd::Result<()> {
+            self.inner.write(offset, data, access)?;
+            self.writes.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        }
+        fn eof(&self) -> u64 {
+            self.inner.eof()
+        }
+        fn truncate(&mut self, eof: u64) -> dayu_vfd::Result<()> {
+            self.inner.truncate(eof)
+        }
+        fn close(&mut self) -> dayu_vfd::Result<()> {
+            self.inner.close()
+        }
+    }
 
     #[test]
     fn create_close_reopen() {
@@ -532,8 +564,11 @@ mod tests {
 
     #[test]
     fn clean_flush_is_a_noop() {
-        let counters = OpCounters::shared();
-        let vfd = CountingVfd::new(MemVfd::new(), counters.clone());
+        let writes = Arc::new(AtomicUsize::new(0));
+        let vfd = WriteCounter {
+            inner: MemVfd::new(),
+            writes: writes.clone(),
+        };
         let f = H5File::create(vfd, "c.h5", FileOptions::default()).unwrap();
         let mut ds = f
             .root()
@@ -541,11 +576,11 @@ mod tests {
             .unwrap();
         ds.write_u64s(&[1, 2, 3, 4]).unwrap();
         f.flush().unwrap();
-        let after_first = counters.writes.load(std::sync::atomic::Ordering::Relaxed);
+        let after_first = writes.load(Ordering::Relaxed);
         // Nothing changed since: the second flush must not write at all.
         f.flush().unwrap();
         assert_eq!(
-            counters.writes.load(std::sync::atomic::Ordering::Relaxed),
+            writes.load(Ordering::Relaxed),
             after_first,
             "clean flush must not rewrite the superblock"
         );

@@ -253,7 +253,7 @@ impl Group {
         let path = self.child_path(name);
         let ctx = lock(&self.core).ctx.clone();
         let key = ObjectKey::new(path.clone());
-        let addr = ctx.with_object(key.clone(), AccessType::Metadata, || {
+        let addr = ctx.with_object(key.clone(), || {
             self.insert_child(name, &ObjectHeader::new_group())
         })?;
         {
@@ -283,7 +283,7 @@ impl Group {
         let path = self.child_path(name);
         let key = ObjectKey::new(path.clone());
         let ctx = lock(&self.core).ctx.clone();
-        let header_addr = ctx.with_object(key.clone(), AccessType::Metadata, || {
+        let header_addr = ctx.with_object(key.clone(), || {
             let (addr, kind) = self.find_child(name)?;
             if kind != ObjectKind::Group {
                 return Err(HdfError::TypeMismatch(format!("{path} is not a group")));
@@ -407,7 +407,7 @@ pub(crate) fn set_attr_on(
     value: AttrValue,
 ) -> Result<()> {
     let ctx = lock(core).ctx.clone();
-    ctx.with_object(ObjectKey::new(path), AccessType::Metadata, || {
+    ctx.with_object(ObjectKey::new(path), || {
         let mut core = lock(core);
         core.check_open()?;
         let mut header = core.load_header(header_addr)?;

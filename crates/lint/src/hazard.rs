@@ -363,7 +363,7 @@ impl TraceChecker {
     }
 
     /// Adopts recorded stage membership (first section that has any wins,
-    /// matching the bundle concat-merge rules).
+    /// as in `TraceMeta::merge`).
     fn note_stages(&mut self, stages: Vec<Vec<TaskKey>>) {
         if self.stages.is_empty() {
             self.stages = stages;

@@ -196,7 +196,7 @@ mod tests {
     #[test]
     fn records_ops_with_object_attribution() {
         let (mut p, state, clock) = setup(MapperConfig::default());
-        p.ctx.enter_object("/dset", AccessType::RawData);
+        p.ctx.enter_object("/dset");
         clock.advance(10);
         p.write(0, &[1; 64], AccessType::RawData).unwrap();
         p.ctx.exit_object();

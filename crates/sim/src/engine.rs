@@ -13,7 +13,6 @@
 //! O(ops·log tasks) while preserving the contention trends the paper's
 //! placement optimizations exploit.
 
-use crate::cache::{CacheConfig, CacheState};
 use crate::cluster::{Cluster, FileLocation, Placement};
 use crate::program::{IoDir, SimOp, SimTask, TaskId};
 use crate::tiers::TierKind;
@@ -131,7 +130,6 @@ impl std::error::Error for SimError {}
 pub struct Engine<'a> {
     cluster: &'a Cluster,
     placement: &'a Placement,
-    cache: Option<CacheConfig>,
 }
 
 struct Running {
@@ -147,19 +145,7 @@ struct Running {
 impl<'a> Engine<'a> {
     /// An engine over the given machine and file placement.
     pub fn new(cluster: &'a Cluster, placement: &'a Placement) -> Self {
-        Self {
-            cluster,
-            placement,
-            cache: None,
-        }
-    }
-
-    /// Enables the Hermes-style per-node read buffer (see
-    /// [`crate::cache`]): repeat reads of a file from the same node are
-    /// served at RAM cost within the byte budget.
-    pub fn with_cache(mut self, cfg: CacheConfig) -> Self {
-        self.cache = Some(cfg);
-        self
+        Self { cluster, placement }
     }
 
     fn op_location(&self, task_node: usize, file: &str) -> (TierInstance, bool) {
@@ -176,7 +162,6 @@ impl<'a> Engine<'a> {
         task_node: usize,
         op: &SimOp,
         streams: &HashMap<TierInstance, u32>,
-        cache: &mut Option<CacheState>,
     ) -> (u64, Option<TierInstance>) {
         match op {
             SimOp::Compute { nanos } => (*nanos, None),
@@ -186,16 +171,6 @@ impl<'a> Engine<'a> {
                 bytes,
                 metadata,
             } => {
-                // Buffered read: a prior access left the file resident on
-                // this node, so the op costs RAM time and touches no tier.
-                if let Some(state) = cache.as_mut() {
-                    if *dir == IoDir::Read && state.read_hit(task_node, file) {
-                        let ram = self.cluster.tier(TierKind::Ram);
-                        return (ram.op_cost_ns(false, *bytes, *metadata, 1), None);
-                    }
-                    // Miss fill / write-through footprint accounting.
-                    state.fill(task_node, file, *bytes);
-                }
                 let (instance, remote) = self.op_location(task_node, file);
                 let kind = match instance {
                     TierInstance::Shared(k) | TierInstance::Local(_, k) => k,
@@ -240,9 +215,6 @@ impl<'a> Engine<'a> {
         let mut running: Vec<Option<Running>> = (0..n).map(|_| None).collect();
         let mut reports: Vec<Option<TaskReport>> = vec![None; n];
         let mut streams: HashMap<TierInstance, u32> = HashMap::new();
-        let mut cache: Option<CacheState> = self
-            .cache
-            .map(|cfg| CacheState::new(cfg, self.cluster.nodes));
         // (completion_time, sequence, task) — sequence keeps pops stable.
         let mut heap: BinaryHeap<Reverse<(u64, u64, TaskId)>> = BinaryHeap::new();
         let mut seq = 0u64;
@@ -255,7 +227,7 @@ impl<'a> Engine<'a> {
                 let time = $time;
                 let state = running[tid].as_mut().expect("running");
                 let op = &tasks[tid].program[state.op_idx];
-                let (cost, instance) = self.op_cost(tasks[tid].node, op, &streams, &mut cache);
+                let (cost, instance) = self.op_cost(tasks[tid].node, op, &streams);
                 if let Some(inst) = instance {
                     *streams.entry(inst).or_insert(0) += 1;
                     state.current_instance = Some(inst);
@@ -671,76 +643,5 @@ mod props {
             let b = Engine::new(&cluster, &placement).run(&job).unwrap();
             assert_eq!(a, b);
         });
-    }
-}
-
-#[cfg(test)]
-mod cache_tests {
-    use super::*;
-    use crate::cache::CacheConfig;
-    use crate::cluster::{Cluster, Placement};
-    use crate::program::{SimOp, SimTask};
-
-    fn rereader(times: usize) -> Vec<SimTask> {
-        vec![SimTask::new("reader")
-            .with_program((0..times).map(|_| SimOp::read("hot.h5", 1 << 20)).collect())]
-    }
-
-    #[test]
-    fn cache_accelerates_repeat_reads() {
-        let c = Cluster::gpu_cluster(1);
-        let p = Placement::new(); // file on BeeGFS
-        let cold = Engine::new(&c, &p).run(&rereader(10)).unwrap();
-        let warm = Engine::new(&c, &p)
-            .with_cache(CacheConfig::per_node(64 << 20))
-            .run(&rereader(10))
-            .unwrap();
-        // First read misses, the other 9 come from RAM.
-        assert!(
-            warm.total_io_ns() * 5 < cold.total_io_ns(),
-            "buffered re-reads should be far cheaper: {} vs {}",
-            warm.total_io_ns(),
-            cold.total_io_ns()
-        );
-    }
-
-    #[test]
-    fn cache_with_tiny_budget_is_inert() {
-        let c = Cluster::gpu_cluster(1);
-        let p = Placement::new();
-        let cold = Engine::new(&c, &p).run(&rereader(5)).unwrap();
-        let warm = Engine::new(&c, &p)
-            .with_cache(CacheConfig::per_node(1024)) // smaller than the file
-            .run(&rereader(5))
-            .unwrap();
-        assert_eq!(
-            warm.total_io_ns(),
-            cold.total_io_ns(),
-            "an undersized buffer changes nothing"
-        );
-    }
-
-    #[test]
-    fn cache_is_per_node() {
-        let c = Cluster::gpu_cluster(2);
-        let p = Placement::new();
-        // Two readers on different nodes: each pays its own cold miss.
-        let tasks = vec![
-            SimTask::new("r0")
-                .on_node(0)
-                .with_program(vec![SimOp::read("f", 1 << 20), SimOp::read("f", 1 << 20)]),
-            SimTask::new("r1")
-                .on_node(1)
-                .with_program(vec![SimOp::read("f", 1 << 20), SimOp::read("f", 1 << 20)]),
-        ];
-        let r = Engine::new(&c, &p)
-            .with_cache(CacheConfig::per_node(64 << 20))
-            .run(&tasks)
-            .unwrap();
-        // Each task: one expensive miss + one cheap hit; both tasks roughly
-        // equal cost (neither served by the other's node buffer).
-        let a = r.tasks[0].io_ns as f64;
-        let b = r.tasks[1].io_ns as f64;
-        assert!((a / b - 1.0).abs() < 0.5, "{a} vs {b}");
     }
 }

@@ -7,9 +7,6 @@
 //! * [`tiers`] — parameterized storage tier cost models (latency, streaming
 //!   bandwidth, metadata-op latency, contention behaviour) with presets
 //!   calibrated to commodity hardware of the paper's class;
-//! * [`cache`] — an optional Hermes-style per-node read buffer with a
-//!   byte budget and LRU eviction (the middleware behind the paper's
-//!   customized-caching guideline);
 //! * [`cluster`] — nodes, their local tiers, shared (parallel) filesystems,
 //!   the interconnect, and file → location placements;
 //! * [`program`] — the replay vocabulary: per-task sequences of I/O and
@@ -23,13 +20,11 @@
 //! replayed under different placements, schedules and layouts, so measured
 //! differences come only from the optimization under study.
 
-pub mod cache;
 pub mod cluster;
 pub mod engine;
 pub mod program;
 pub mod tiers;
 
-pub use cache::{CacheConfig, CacheState};
 pub use cluster::{Cluster, FileLocation, NodeId, Placement};
 pub use engine::{Engine, SimReport, TaskReport};
 pub use program::{IoDir, SimOp, SimTask, TaskId};

@@ -769,14 +769,6 @@ fn careful_frame<R: BufRead, S: RecordSink>(
     Ok(true)
 }
 
-/// Reads a `.dtb` stream into a bundle. Multiple concatenated sections merge
-/// with the same semantics as concatenated JSONL: the first section's
-/// workflow name and page size win, later task orders, degraded sets and
-/// stage lists extend the first, records append.
-pub fn read_bundles<R: BufRead>(r: R) -> io::Result<TraceBundle> {
-    TraceBundle::read_binary(r)
-}
-
 /// Streams a `.dtb` stream into `sink` frame by frame, never holding more
 /// than one record beyond the reader's buffer. Section meta frames
 /// (including v1 sections, which carry no stage lists) are delivered
@@ -865,7 +857,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let err = read_bundles(&b"{\"Meta\":{}}"[..]).unwrap_err();
+        let err = TraceBundle::read_binary(&b"{\"Meta\":{}}"[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -874,7 +866,7 @@ mod tests {
         let mut bytes = MAGIC.to_vec();
         bytes[7] = 0x7F;
         bytes.push(0); // empty table
-        let err = read_bundles(&bytes[..]).unwrap_err();
+        let err = TraceBundle::read_binary(&bytes[..]).unwrap_err();
         assert!(err.to_string().contains("version"));
     }
 
@@ -898,7 +890,7 @@ mod tests {
         write_varint(&mut bytes, 1).unwrap();
         write_usize(&mut bytes, 0).unwrap(); // degraded set
         bytes.push(TAG_END);
-        let b = read_bundles(&bytes[..]).unwrap();
+        let b = TraceBundle::read_binary(&bytes[..]).unwrap();
         assert_eq!(b.meta.workflow, "wf");
         assert_eq!(b.meta.task_order, vec![TaskKey::new("t1")]);
         assert!(b.meta.stages.is_empty());
@@ -928,7 +920,7 @@ mod tests {
         write_usize(&mut bytes, 1).unwrap(); // ...of one task
         write_varint(&mut bytes, 1).unwrap();
         bytes.push(TAG_END);
-        let b = read_bundles(&bytes[..]).unwrap();
+        let b = TraceBundle::read_binary(&bytes[..]).unwrap();
         assert!(b.is_degraded(&TaskKey::new("t1")));
         assert!(b.meta.recovered_tasks.is_empty());
         assert_eq!(b.meta.stages, vec![vec![TaskKey::new("t1")]]);
@@ -942,7 +934,7 @@ mod tests {
         b.mark_recovered(TaskKey::new("a"));
         let bytes = b.to_binary_bytes();
         assert_eq!(bytes[7], MAGIC[7]);
-        let back = read_bundles(&bytes[..]).unwrap();
+        let back = TraceBundle::read_binary(&bytes[..]).unwrap();
         assert!(back.is_recovered(&TaskKey::new("a")));
         assert!(!back.is_recovered(&TaskKey::new("b")));
         assert_eq!(back, b);
@@ -971,7 +963,7 @@ mod tests {
         write_varint(&mut bytes, 1).unwrap();
         write_usize(&mut bytes, 0).unwrap(); // stage lists
         bytes.push(TAG_END);
-        let b = read_bundles(&bytes[..]).unwrap();
+        let b = TraceBundle::read_binary(&bytes[..]).unwrap();
         assert!(b.is_recovered(&TaskKey::new("t1")));
         assert!(b.meta.origin.is_none());
     }
@@ -986,7 +978,7 @@ mod tests {
             tool_version: "0.1.0".into(),
         });
         let bytes = b.to_binary_bytes();
-        let back = read_bundles(&bytes[..]).unwrap();
+        let back = TraceBundle::read_binary(&bytes[..]).unwrap();
         assert_eq!(back.meta.origin, b.meta.origin);
         assert_eq!(back, b);
     }
@@ -1002,7 +994,7 @@ mod tests {
         ];
         let bytes = b.to_binary_bytes();
         assert_eq!(bytes[7], MAGIC[7]);
-        let back = read_bundles(&bytes[..]).unwrap();
+        let back = TraceBundle::read_binary(&bytes[..]).unwrap();
         assert_eq!(back.meta.stages, b.meta.stages);
         assert_eq!(back.meta.stage_of(&TaskKey::new("c")), Some(1));
         assert_eq!(back.meta.stage_of(&TaskKey::new("zz")), None);
@@ -1058,7 +1050,7 @@ mod tests {
             ),
         ] {
             let (good, _) = section_with_dtype(tag, fits);
-            let b = read_bundles(&good[..]).unwrap();
+            let b = TraceBundle::read_binary(&good[..]).unwrap();
             assert_eq!(b.vol[0].description.dtype, Some(dtype));
             assert_eq!(b.to_binary_bytes(), good, "{dtype:?} must round-trip");
             let (bad, past) = section_with_dtype(tag, overflows);
@@ -1102,7 +1094,7 @@ mod tests {
         b.push_task(TaskKey::new("t"));
         let bytes = b.to_binary_bytes();
         let cut = &bytes[..bytes.len() - 2];
-        assert!(read_bundles(cut).is_err());
+        assert!(TraceBundle::read_binary(cut).is_err());
     }
 
     #[test]
@@ -1112,6 +1104,6 @@ mod tests {
         let mut bytes = b.to_binary_bytes();
         // Shorter than a magic header: must not be mistaken for clean EOF.
         bytes.extend([0xFF; 4]);
-        assert!(read_bundles(&bytes[..]).is_err());
+        assert!(TraceBundle::read_binary(&bytes[..]).is_err());
     }
 }

@@ -3,25 +3,24 @@
 //! HDF5's abstraction layers make direct communication between a VOL plugin
 //! and a VFD plugin "inherently difficult"; the paper bridges them with a
 //! region of shared memory through which the VOL layer publishes the *current
-//! task*, *current data object* and *current access type* so the VFD profiler
-//! can attribute every low-level operation to its semantic cause.
+//! task* and *current data object* so the VFD profiler can attribute every
+//! low-level operation to its semantic cause. Whether an operation touches
+//! metadata or raw data reaches the driver with the call itself, as HDF5's
+//! `H5FD_mem_t` does, so the channel does not carry it.
 //!
 //! [`SharedContext`] is the in-process analogue: a cheaply clonable handle to
 //! shared state written by the high-level layer (object open/read/write) and
 //! read by the low-level profiler on every I/O operation. Readers take no
-//! lock. The task, and the (object, access) pair, are each published as one
-//! atomic word over interned symbol indices, so [`SharedContext::task`]
-//! (every VOL event) is one acquire load and [`SharedContext::snapshot`]
-//! (every VFD op) two. Because the pair is one word, a snapshot never
-//! shows one scope's object with another scope's access type. Writers that
-//! push or pop a scope still serialize under the scope stack's mutex, so
-//! nested scopes restore exactly. DESIGN.md's record-path section has the
-//! measurement.
+//! lock. The task and the innermost object are each published as one
+//! atomic word, the interned symbol's index plus one (zero for none), so
+//! [`SharedContext::task`] (every VOL event) is one acquire load and
+//! [`SharedContext::snapshot`] (every VFD op) two. Writers that push or pop
+//! a scope serialize under the scope stack's mutex, so nested scopes
+//! restore exactly. DESIGN.md's record-path section has the measurement.
 
 use crate::ids::{ObjectKey, TaskKey};
 use crate::intern::Symbol;
 use crate::sync::lock;
-use crate::vfd::AccessType;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -33,46 +32,26 @@ pub struct ContextSnapshot {
     pub task: Option<TaskKey>,
     /// The data object whose operation is in progress, if any.
     pub object: Option<ObjectKey>,
-    /// Whether the in-progress operation is a metadata or raw-data access.
-    /// `None` when no object operation is in flight (the profiler then
-    /// classifies the I/O as metadata, matching HDF5 where unattributed
-    /// I/O is structural).
-    pub access: Option<AccessType>,
 }
 
-/// An optional symbol and an optional access type in one word: the
-/// symbol's index plus one (zero for none) above two access bits.
-fn pack(symbol: Option<Symbol>, access: Option<AccessType>) -> u64 {
-    let symbol = symbol.map_or(0, |s| u64::from(s.index()) + 1);
-    let access = match access {
-        None => 0,
-        Some(AccessType::Metadata) => 1,
-        Some(AccessType::RawData) => 2,
-    };
-    symbol << 2 | access
+/// An optional symbol in one word: its index plus one, zero for none.
+fn pack(symbol: Option<Symbol>) -> u64 {
+    symbol.map_or(0, |s| u64::from(s.index()) + 1)
 }
 
 /// The inverse of [`pack`].
-fn unpack(word: u64) -> (Option<Symbol>, Option<AccessType>) {
-    let symbol = (word >> 2)
-        .checked_sub(1)
-        .map(|index| Symbol::from_index(index as u32));
-    let access = match word & 3 {
-        1 => Some(AccessType::Metadata),
-        2 => Some(AccessType::RawData),
-        _ => None,
-    };
-    (symbol, access)
+fn unpack(word: u64) -> Option<Symbol> {
+    word.checked_sub(1)
+        .map(|index| Symbol::from_index(index as u32))
 }
 
 #[derive(Debug, Default)]
 struct Inner {
-    /// The announced task, packed with no access type.
+    /// The announced task, packed.
     task: AtomicU64,
-    /// The innermost (object, access) pair, packed. Stored only while
-    /// `stack` is locked.
+    /// The innermost object, packed. Stored only while `stack` is locked.
     scope: AtomicU64,
-    /// The packed pairs of the enclosing object scopes, so nested VOL
+    /// The packed objects of the enclosing scopes, so nested VOL
     /// operations (e.g. reading a chunk index while writing a dataset)
     /// restore the outer object on exit.
     stack: Mutex<Vec<u64>>,
@@ -99,28 +78,25 @@ impl SharedContext {
     /// must call this before the task performs I/O (paper: "The workflow
     /// launcher or application must inform DaYu of the current task").
     pub fn set_task(&self, task: impl Into<TaskKey>) {
-        let word = pack(Some(task.into().symbol()), None);
+        let word = pack(Some(task.into().symbol()));
         self.inner.task.store(word, Ordering::Release);
     }
 
     /// Clears the current task (end of task).
     pub fn clear_task(&self) {
-        self.inner.task.store(pack(None, None), Ordering::Release);
+        self.inner.task.store(pack(None), Ordering::Release);
     }
 
     /// The currently announced task, if any.
     pub fn task(&self) -> Option<TaskKey> {
-        unpack(self.inner.task.load(Ordering::Acquire))
-            .0
-            .map(TaskKey::from_symbol)
+        unpack(self.inner.task.load(Ordering::Acquire)).map(TaskKey::from_symbol)
     }
 
     /// Pushes an object scope: all VFD operations until the matching
-    /// [`SharedContext::exit_object`] are attributed to `object` with the
-    /// given access type. Scopes nest; the outer attribution is restored on
-    /// exit.
-    pub fn enter_object(&self, object: impl Into<ObjectKey>, access: AccessType) {
-        let word = pack(Some(object.into().symbol()), Some(access));
+    /// [`SharedContext::exit_object`] are attributed to `object`. Scopes
+    /// nest; the outer attribution is restored on exit.
+    pub fn enter_object(&self, object: impl Into<ObjectKey>) {
+        let word = pack(Some(object.into().symbol()));
         let mut stack = lock(&self.inner.stack);
         stack.push(self.inner.scope.load(Ordering::Relaxed));
         self.inner.scope.store(word, Ordering::Release);
@@ -129,30 +105,24 @@ impl SharedContext {
     /// Pops the innermost object scope.
     pub fn exit_object(&self) {
         let mut stack = lock(&self.inner.stack);
-        let outer = stack.pop().unwrap_or_else(|| pack(None, None));
+        let outer = stack.pop().unwrap_or_else(|| pack(None));
         self.inner.scope.store(outer, Ordering::Release);
     }
 
     /// Snapshot of the current attribution, taken by the VFD profiler when
     /// recording an operation.
     pub fn snapshot(&self) -> ContextSnapshot {
-        let (object, access) = unpack(self.inner.scope.load(Ordering::Acquire));
+        let object = unpack(self.inner.scope.load(Ordering::Acquire));
         ContextSnapshot {
             task: self.task(),
             object: object.map(ObjectKey::from_symbol),
-            access,
         }
     }
 
     /// Runs `f` inside an object scope; exception-safe convenience over
     /// `enter_object`/`exit_object`.
-    pub fn with_object<R>(
-        &self,
-        object: impl Into<ObjectKey>,
-        access: AccessType,
-        f: impl FnOnce() -> R,
-    ) -> R {
-        self.enter_object(object, access);
+    pub fn with_object<R>(&self, object: impl Into<ObjectKey>, f: impl FnOnce() -> R) -> R {
+        self.enter_object(object);
         let guard = ScopeGuard { ctx: self };
         let r = f();
         drop(guard);
@@ -180,7 +150,6 @@ mod tests {
         let s = ctx.snapshot();
         assert_eq!(s.task, None);
         assert_eq!(s.object, None);
-        assert_eq!(s.access, None);
     }
 
     #[test]
@@ -195,15 +164,11 @@ mod tests {
     #[test]
     fn object_scopes_nest_and_restore() {
         let ctx = SharedContext::new();
-        ctx.enter_object("/outer", AccessType::RawData);
-        ctx.enter_object("/inner", AccessType::Metadata);
-        let s = ctx.snapshot();
-        assert_eq!(s.object, Some(ObjectKey::new("/inner")));
-        assert_eq!(s.access, Some(AccessType::Metadata));
+        ctx.enter_object("/outer");
+        ctx.enter_object("/inner");
+        assert_eq!(ctx.snapshot().object, Some(ObjectKey::new("/inner")));
         ctx.exit_object();
-        let s = ctx.snapshot();
-        assert_eq!(s.object, Some(ObjectKey::new("/outer")));
-        assert_eq!(s.access, Some(AccessType::RawData));
+        assert_eq!(ctx.snapshot().object, Some(ObjectKey::new("/outer")));
         ctx.exit_object();
         assert_eq!(ctx.snapshot().object, None);
     }
@@ -219,7 +184,7 @@ mod tests {
     #[test]
     fn with_object_restores_on_return() {
         let ctx = SharedContext::new();
-        let out = ctx.with_object("/d", AccessType::RawData, || {
+        let out = ctx.with_object("/d", || {
             assert_eq!(ctx.snapshot().object, Some(ObjectKey::new("/d")));
             7
         });
@@ -233,39 +198,26 @@ mod tests {
         let b = a.clone();
         a.set_task("t");
         assert_eq!(b.task(), Some(TaskKey::new("t")));
-        b.enter_object("/x", AccessType::Metadata);
+        b.enter_object("/x");
         assert_eq!(a.snapshot().object, Some(ObjectKey::new("/x")));
     }
 
     #[test]
-    fn snapshot_is_consistent_under_concurrency() {
-        // The writer always sets (object, access) pairs together; a reader
-        // must never observe an object from one scope with the access type
-        // of another.
+    fn readers_see_only_published_objects() {
         let ctx = SharedContext::new();
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
                 for i in 0..2000 {
-                    if i % 2 == 0 {
-                        ctx.enter_object("/meta", AccessType::Metadata);
-                    } else {
-                        ctx.enter_object("/raw", AccessType::RawData);
-                    }
+                    ctx.enter_object(if i % 2 == 0 { "/even" } else { "/odd" });
                     ctx.exit_object();
                 }
                 stop.store(true, std::sync::atomic::Ordering::Relaxed);
             });
             s.spawn(|| {
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let s = ctx.snapshot();
-                    match (&s.object, s.access) {
-                        (Some(o), Some(AccessType::Metadata)) => {
-                            assert_eq!(o.as_str(), "/meta")
-                        }
-                        (Some(o), Some(AccessType::RawData)) => assert_eq!(o.as_str(), "/raw"),
-                        (None, None) => {}
-                        other => panic!("torn snapshot: {other:?}"),
+                    if let Some(o) = ctx.snapshot().object {
+                        assert!(["/even", "/odd"].contains(&o.as_str()), "{o}");
                     }
                 }
             });

@@ -176,6 +176,52 @@ impl TraceMeta {
     pub fn stage_of(&self, task: &TaskKey) -> Option<usize> {
         self.stages.iter().position(|stage| stage.contains(task))
     }
+
+    /// Merges `later`, the meta of a section that follows the ones this
+    /// meta stands for. This is the one rule for joining trace sections:
+    /// concatenated reads ([`TraceBundle::load`]), [`TraceBundle::merge`]
+    /// and the analyzer's incremental `PartialGraph` all call it.
+    ///
+    /// This meta's workflow, page size and task order stand, and the
+    /// tasks `later`'s order names that are not yet present are appended
+    /// in order. The degraded and recovered sets become the sorted union
+    /// of both, without repeats (traces written by older builds or by
+    /// hand may carry them unsorted). Stages and origin keep the first
+    /// non-empty value. Merging a meta into a copy of itself changes only
+    /// its sets, so a join seeds with its first section's meta and then
+    /// merges every section, the first included. One call hashes `later`'s
+    /// tasks into a set and probes it once per task of this order, so it
+    /// stays cheap when a one-task order joins a long one.
+    pub fn merge(&mut self, later: &TraceMeta) {
+        if !later.task_order.is_empty() {
+            let mut missing: SymbolSet<&TaskKey> = later.task_order.iter().collect();
+            for t in &self.task_order {
+                missing.remove(t);
+            }
+            for t in &later.task_order {
+                if missing.remove(t) {
+                    self.task_order.push(t.clone());
+                }
+            }
+        }
+        union_sorted(&mut self.degraded_tasks, &later.degraded_tasks);
+        union_sorted(&mut self.recovered_tasks, &later.recovered_tasks);
+        if self.stages.is_empty() {
+            self.stages.clone_from(&later.stages);
+        }
+        if self.origin.is_none() {
+            self.origin.clone_from(&later.origin);
+        }
+    }
+}
+
+/// Adds `more` to `set` and leaves `set` sorted, without repeats.
+fn union_sorted(set: &mut Vec<TaskKey>, more: &[TaskKey]) {
+    if !more.is_empty() {
+        set.extend_from_slice(more);
+        set.sort_unstable();
+        set.dedup();
+    }
 }
 
 /// Streaming consumer of trace records, fed by [`TraceBundle::stream`] in
@@ -193,9 +239,8 @@ pub trait RecordSink {
     fn file(&mut self, rec: FileRecord) -> io::Result<()>;
 }
 
-/// Sink that rebuilds an in-memory [`TraceBundle`], applying the
-/// concatenation merge rules (first section's workflow name and page size
-/// win; later task orders, degraded sets and stages extend the first).
+/// Sink that rebuilds an in-memory [`TraceBundle`], merging section metas
+/// by [`TraceMeta::merge`].
 #[derive(Default)]
 struct Collector {
     out: TraceBundle,
@@ -203,35 +248,12 @@ struct Collector {
 }
 
 impl RecordSink for Collector {
-    fn meta(&mut self, mut m: TraceMeta) -> io::Result<()> {
-        // Re-mark rather than splice the degraded set: traces written by
-        // older builds (or hand-edited) may carry it unsorted, and every
-        // read path must restore the sorted invariant mark_degraded
-        // relies on.
-        let degraded = std::mem::take(&mut m.degraded_tasks);
-        let recovered = std::mem::take(&mut m.recovered_tasks);
-        if self.saw_meta {
-            for t in m.task_order {
-                if !self.out.meta.task_order.contains(&t) {
-                    self.out.meta.task_order.push(t);
-                }
-            }
-            if self.out.meta.stages.is_empty() {
-                self.out.meta.stages = m.stages;
-            }
-            if self.out.meta.origin.is_none() {
-                self.out.meta.origin = m.origin;
-            }
-        } else {
-            self.out.meta = m;
+    fn meta(&mut self, m: TraceMeta) -> io::Result<()> {
+        if !self.saw_meta {
+            self.out.meta.clone_from(&m);
             self.saw_meta = true;
         }
-        for t in degraded {
-            self.out.mark_degraded(t);
-        }
-        for t in recovered {
-            self.out.mark_recovered(t);
-        }
+        self.out.meta.merge(&m);
         Ok(())
     }
 
@@ -329,27 +351,11 @@ impl TraceBundle {
         !self.meta.recovered_tasks.is_empty()
     }
 
-    /// Appends all records of `other` to this bundle, extending the task
-    /// order with tasks not yet present. Used to join per-task traces into a
+    /// Appends all records of `other` to this bundle and merges its meta
+    /// by [`TraceMeta::merge`]. Used to join per-task traces into a
     /// workflow-wide trace.
     pub fn merge(&mut self, other: TraceBundle) {
-        for t in other.meta.task_order {
-            if !self.meta.task_order.contains(&t) {
-                self.meta.task_order.push(t);
-            }
-        }
-        for t in other.meta.degraded_tasks {
-            self.mark_degraded(t);
-        }
-        for t in other.meta.recovered_tasks {
-            self.mark_recovered(t);
-        }
-        if self.meta.stages.is_empty() {
-            self.meta.stages = other.meta.stages;
-        }
-        if self.meta.origin.is_none() {
-            self.meta.origin = other.meta.origin;
-        }
+        self.meta.merge(&other.meta);
         self.vol.extend(other.vol);
         self.vfd.extend(other.vfd);
         self.files.extend(other.files);
@@ -409,8 +415,7 @@ impl TraceBundle {
     }
 
     /// Reads a bundle from JSON Lines. Multiple concatenated bundles merge:
-    /// later `Meta` lines extend the task order (first workflow
-    /// name/page-size win).
+    /// records append and metas merge by [`TraceMeta::merge`].
     pub fn read_jsonl<R: BufRead>(r: R) -> io::Result<Self> {
         let mut sink = Collector::default();
         Self::stream_jsonl(r, &mut sink)?;

@@ -17,10 +17,8 @@
 //! * [`FaultyVfd`] — fault injection for failure-path tests, driven by the
 //!   seeded [`FaultSchedule`] chaos engine;
 //! * [`CrashVfd`] — deterministic process-death simulation (torn writes,
-//!   write-back cache loss) for crash-consistency tests;
-//! * [`CountingVfd`] — cheap op/byte counters without full tracing.
+//!   write-back cache loss) for crash-consistency tests.
 
-pub mod counting;
 pub mod crash;
 pub mod faulty;
 pub mod file;
@@ -28,7 +26,6 @@ pub mod mem;
 pub mod replay;
 pub mod retry;
 
-pub use counting::{CountingVfd, OpCounters};
 pub use crash::{CrashController, CrashSchedule, CrashVfd};
 pub use faulty::{ChaosRng, FaultInjector, FaultSchedule, FaultyVfd};
 pub use file::FileVfd;
