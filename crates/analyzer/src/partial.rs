@@ -507,7 +507,7 @@ mod tests {
                 // Batch reference accumulates with stream-merge semantics.
                 let mut bytes = acc.to_binary_bytes();
                 bytes.extend(s.to_binary_bytes());
-                acc = TraceBundle::read_binary(&bytes[..]).unwrap();
+                acc = TraceBundle::load(&bytes[..]).unwrap();
             }
             assert_identical(&pg.snapshot_ftg(), &build_ftg(&acc));
             assert_identical(

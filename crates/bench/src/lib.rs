@@ -393,11 +393,9 @@ mod tests {
         assert_eq!(Report::new("demo", Scale::Full).mode, "full");
     }
 
-    /// The tracked JSON schema: pinned, then read back as a consumer
-    /// reads it.
+    /// The tracked JSON schema, pinned.
     #[test]
-    fn report_round_trips_through_json() {
-        use dayu_trace::json::{Kind, Reader};
+    fn report_json_is_pinned() {
         let mut r = Report::new("io", Scale::Full);
         r.floor("mem.scalar.speedup", 6.5, "x", 3.0);
         r.ceiling("ddmd.replay_overhead", 0.125, "ratio", 0.25);
@@ -431,50 +429,6 @@ mod tests {
   }
 }"#
         );
-        let number = |r: &mut Reader<'_>| -> std::io::Result<f64> {
-            if r.peek()? == Kind::Null {
-                r.null();
-                return Ok(f64::NAN);
-            }
-            Ok(r.number()?.parse().expect("a JSON number is an f64"))
-        };
-        let mut doc = Reader::new(&text);
-        let mut back = BTreeMap::new();
-        let (mut suite, mut mode) = (String::new(), String::new());
-        doc.object(|doc, key| {
-            match key {
-                "suite" => suite = doc.string()?.into_owned(),
-                "mode" => mode = doc.string()?.into_owned(),
-                "metrics" => doc.object(|doc, name| {
-                    let unit = r.metrics[name].unit;
-                    let (mut value, mut bound) = (None, None);
-                    doc.object(|doc, key| {
-                        match key {
-                            "value" => value = Some(number(doc)?),
-                            "unit" => assert_eq!(doc.string()?, unit),
-                            "floor" => bound = Some(Bound::Floor(number(doc)?)),
-                            "ceiling" => bound = Some(Bound::Ceiling(number(doc)?)),
-                            other => panic!("{name} carries an unknown field {other}"),
-                        }
-                        Ok(())
-                    })?;
-                    let value = value.expect("every metric has a value");
-                    back.insert(name.to_owned(), Metric { value, unit, bound });
-                    Ok(())
-                })?,
-                other => panic!("unknown field {other}"),
-            }
-            Ok(())
-        })
-        .expect("parse");
-        doc.finish().expect("one document");
-        assert_eq!((suite.as_str(), mode.as_str()), ("io", "full"));
-        // NaN equals nothing, so compare its entry apart.
-        let free = back.remove("free").expect("free metric");
-        assert!(free.value.is_nan() && free.bound.is_none());
-        let mut want = r.metrics.clone();
-        want.remove("free");
-        assert_eq!(back, want);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! End-to-end pipeline benchmark: **record → save → load → analyze**.
 //!
 //! The other benches time one subsystem each; this one walks a trace through
-//! the whole life cycle the way a real deployment does, in both persistence
-//! formats, and emits a machine-readable `BENCH_pipeline.json` that the CI
+//! the whole life cycle the way a real deployment does, through the `.dtb`
+//! format, and emits a machine-readable `BENCH_pipeline.json` that the CI
 //! perf job tracks over time. Workloads:
 //!
 //! * **corner-case ×N** — the many-small-datasets worst case of Fig. 9c/d,
@@ -11,9 +11,7 @@
 //!   runner, a VOL-heavy trace with many tasks and files.
 //!
 //! For every workload the report carries record throughput (ops/sec), and
-//! per-format save time, load time, size and bytes/record, plus the
-//! JSONL/binary ratios whose floors of 1 are the gate (binary must not be
-//! larger or slower than JSONL).
+//! the `.dtb` save time, load time, size and bytes/record.
 //!
 //! At full scale the report also climbs the **ddmd ladder**: ddmd recorded
 //! at 3, 30 and 100 iterations, saved as `.dtb` and reloaded, with each
@@ -31,7 +29,7 @@
 
 use crate::{min_filling, Report, Scale};
 use dayu_analyzer::{build_ftg, build_sdg, Analysis, PartialGraph, SdgOptions};
-use dayu_trace::{TraceBundle, TraceFormat};
+use dayu_trace::TraceBundle;
 use dayu_vfd::MemFs;
 use dayu_workflow::record;
 use dayu_workloads::ddmd::{self, DdmdConfig};
@@ -62,7 +60,7 @@ impl PipelineConfig {
     }
 }
 
-/// Timings for one persistence format over one workload's bundle.
+/// `.dtb` timings over one workload's bundle.
 #[derive(Clone, Copy, Debug)]
 pub struct FormatTimings {
     /// Serialize into an in-memory buffer, nanoseconds.
@@ -74,17 +72,17 @@ pub struct FormatTimings {
 }
 
 impl FormatTimings {
-    fn measure(bundle: &TraceBundle, format: TraceFormat) -> (Self, TraceBundle) {
+    fn measure(bundle: &TraceBundle) -> (Self, TraceBundle) {
         let mut buf = Vec::with_capacity(1 << 20);
         let t0 = Instant::now();
-        bundle.save(&mut buf, format).expect("save");
+        bundle.write_binary(&mut buf).expect("save");
         let save_ns = t0.elapsed().as_nanos() as u64;
         let t0 = Instant::now();
         let reloaded = TraceBundle::load(&buf[..]).expect("load");
         let load_ns = t0.elapsed().as_nanos() as u64;
         assert_eq!(
             &reloaded, bundle,
-            "{format:?} round-trip must be lossless before it is worth timing"
+            "the round trip must be lossless before it is worth timing"
         );
         (
             Self {
@@ -94,11 +92,6 @@ impl FormatTimings {
             },
             reloaded,
         )
-    }
-
-    /// Save + load wall time, nanoseconds.
-    pub fn round_trip_ns(&self) -> u64 {
-        self.save_ns + self.load_ns
     }
 }
 
@@ -111,8 +104,6 @@ pub struct WorkloadReport {
     pub records: u64,
     /// Wall time of the record phase, nanoseconds.
     pub record_ns: u64,
-    /// JSONL persistence timings.
-    pub jsonl: FormatTimings,
     /// Binary (`.dtb`) persistence timings.
     pub binary: FormatTimings,
     /// FTG build, nanoseconds.
@@ -126,8 +117,7 @@ pub struct WorkloadReport {
 impl WorkloadReport {
     fn from_bundle(name: String, bundle: TraceBundle, record_ns: u64) -> Self {
         let records = records(&bundle) as u64;
-        let (jsonl, _) = FormatTimings::measure(&bundle, TraceFormat::Jsonl);
-        let (binary, reloaded) = FormatTimings::measure(&bundle, TraceFormat::Binary);
+        let (binary, reloaded) = FormatTimings::measure(&bundle);
 
         // Analyze the *reloaded* bundle: that is what a consumer holds.
         let t0 = Instant::now();
@@ -148,7 +138,6 @@ impl WorkloadReport {
             name,
             records,
             record_ns,
-            jsonl,
             binary,
             ftg_ns,
             sdg_ns,
@@ -165,42 +154,18 @@ impl WorkloadReport {
         }
     }
 
-    /// JSONL size divided by binary size (≥ 1 means binary is smaller).
-    pub fn size_ratio(&self) -> f64 {
-        if self.binary.bytes == 0 {
-            0.0
-        } else {
-            self.jsonl.bytes as f64 / self.binary.bytes as f64
-        }
-    }
-
-    /// JSONL save+load divided by binary save+load (≥ 1 means binary is
-    /// faster).
-    pub fn round_trip_ratio(&self) -> f64 {
-        let b = self.binary.round_trip_ns();
-        if b == 0 {
-            0.0
-        } else {
-            self.jsonl.round_trip_ns() as f64 / b as f64
-        }
-    }
-
     fn add_to(&self, r: &mut Report) {
         let n = |m: &str| format!("{}.{m}", self.name);
         r.metric(n("records"), self.records as f64, "records");
         r.metric(n("record_ns"), self.record_ns as f64, "ns");
         r.metric(n("record_ops_per_sec"), self.record_ops_per_sec(), "ops/s");
-        for (format, t) in [("jsonl", &self.jsonl), ("binary", &self.binary)] {
-            let n = |m: &str| n(&format!("{format}.{m}"));
-            r.metric(n("save_ns"), t.save_ns as f64, "ns");
-            r.metric(n("load_ns"), t.load_ns as f64, "ns");
-            r.metric(n("bytes"), t.bytes as f64, "B");
-            let per_record = t.bytes as f64 / self.records.max(1) as f64;
-            r.metric(n("bytes_per_record"), per_record, "B");
-        }
-        r.floor(n("size_jsonl_over_binary"), self.size_ratio(), "x", 1.0);
-        let round_trip = self.round_trip_ratio();
-        r.floor(n("round_trip_jsonl_over_binary"), round_trip, "x", 1.0);
+        let t = &self.binary;
+        let b = |m: &str| n(&format!("binary.{m}"));
+        r.metric(b("save_ns"), t.save_ns as f64, "ns");
+        r.metric(b("load_ns"), t.load_ns as f64, "ns");
+        r.metric(b("bytes"), t.bytes as f64, "B");
+        let per_record = t.bytes as f64 / self.records.max(1) as f64;
+        r.metric(b("bytes_per_record"), per_record, "B");
         r.metric(n("ftg_ns"), self.ftg_ns as f64, "ns");
         r.metric(n("sdg_ns"), self.sdg_ns as f64, "ns");
         r.metric(n("analysis_ns"), self.analysis_ns as f64, "ns");
@@ -434,8 +399,8 @@ pub fn run(cfg: &PipelineConfig) -> Vec<WorkloadReport> {
     out
 }
 
-/// The `pipeline` report: per workload, binary must encode no larger and
-/// round-trip no slower than JSONL.
+/// The `pipeline` report: per workload, record throughput, the `.dtb`
+/// save and load, and the analysis phases.
 pub fn report(cfg: &PipelineConfig, workloads: &[WorkloadReport]) -> Report {
     let mut r = Report::new("pipeline", cfg.scale);
     for w in workloads {
@@ -469,74 +434,16 @@ mod tests {
         assert_eq!(reports.len(), 2);
         for r in &reports {
             assert!(r.records > 0, "{} recorded nothing", r.name);
-            assert!(r.jsonl.bytes > 0 && r.binary.bytes > 0);
-            assert!(
-                r.binary.bytes < r.jsonl.bytes,
-                "{}: binary {} vs jsonl {}",
-                r.name,
-                r.binary.bytes,
-                r.jsonl.bytes
-            );
+            assert!(r.binary.bytes > 0);
         }
         let doc = report(&cfg, &reports);
         assert_eq!(doc.mode, "smoke");
         for w in ["corner_case_x2", "ddmd"] {
-            let gated = [
-                format!("{w}.size_jsonl_over_binary"),
-                format!("{w}.round_trip_jsonl_over_binary"),
-            ];
-            assert_gated(&doc, &gated);
+            assert!(doc
+                .metrics
+                .contains_key(&format!("{w}.binary.bytes_per_record")));
         }
-    }
-
-    #[test]
-    fn check_gate_accepts_smoke_sizes_and_flags_regressions() {
-        let cfg = PipelineConfig::new(Scale::Quick);
-        let reports = run(&cfg);
-        // Size must always pass; timing can jitter at smoke scale, so only
-        // assert the failures are the round-trip ratio when present.
-        for f in failing(&report(&cfg, &reports)) {
-            assert!(
-                f.ends_with(".round_trip_jsonl_over_binary"),
-                "unexpected failure: {f}"
-            );
-        }
-        let mut broken = reports[0].clone();
-        broken.binary.bytes = broken.jsonl.bytes + 1;
-        assert_eq!(report(&cfg, &[broken]).failures().len(), 1);
-    }
-
-    #[test]
-    fn each_bound_fails_alone() {
-        let timings = |ns: u64, bytes: u64| FormatTimings {
-            save_ns: ns,
-            load_ns: ns,
-            bytes,
-        };
-        let good = WorkloadReport {
-            name: "w".into(),
-            records: 10,
-            record_ns: 1_000,
-            jsonl: timings(500, 1_000),
-            binary: timings(100, 200),
-            ftg_ns: 1,
-            sdg_ns: 1,
-            analysis_ns: 1,
-        };
-        let cfg = PipelineConfig::new(Scale::Quick);
-        assert!(report(&cfg, std::slice::from_ref(&good))
-            .failures()
-            .is_empty());
-        let mut larger = good.clone();
-        larger.binary.bytes = 1_001;
-        assert_eq!(
-            failing(&report(&cfg, &[larger])),
-            ["w.size_jsonl_over_binary"]
-        );
-        let mut slower = good;
-        slower.binary.load_ns = 901;
-        let slower = report(&cfg, &[slower]);
-        assert_eq!(failing(&slower), ["w.round_trip_jsonl_over_binary"]);
+        assert!(doc.failures().is_empty(), "{:?}", doc.failures());
     }
 
     #[test]

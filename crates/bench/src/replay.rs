@@ -15,7 +15,10 @@
 //! run [`ReplayConfig::repeats`] times and the *minimum* is kept, so
 //! scheduler noise does not fail CI. Plain recording and validated replay,
 //! the two sides of the gated ratio, run in alternating pairs, so a drift
-//! in machine speed slows both sides alike.
+//! in machine speed slows both sides alike, and the pairs go on until they
+//! have also taken [`REPLAY_MIN_TIME`] together: a smoke-scale record
+//! takes well under a millisecond, too short for a handful of runs to
+//! find its floor.
 //!
 //! ```text
 //! cargo run --release -p dayu-bench -- replay [--smoke] [--check] [--out PATH]
@@ -26,7 +29,7 @@ use dayu_vfd::MemFs;
 use dayu_workflow::{record_opts, record_to_bundle, replay_bundle, RecordOptions, ReplayBundle};
 use dayu_workloads::arldm::{self, ArldmConfig};
 use dayu_workloads::ddmd::{self, DdmdConfig};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Replay benchmark parameters.
 #[derive(Clone, Debug)]
@@ -50,6 +53,10 @@ impl ReplayConfig {
 
 /// The replay-overhead budget the gate enforces.
 pub const MAX_REPLAY_OVERHEAD: f64 = 0.25;
+
+/// Least time the alternating record/replay pairs behind the gate take
+/// together, whatever [`ReplayConfig::repeats`] says.
+pub const REPLAY_MIN_TIME: Duration = Duration::from_millis(100);
 
 /// One workload's trip through record → pack → verify → unpack → replay.
 #[derive(Clone, Debug)]
@@ -125,16 +132,21 @@ fn workloads(cfg: &ReplayConfig) -> Vec<(String, dayu_workflow::WorkflowSpec)> {
     ]
 }
 
-/// Times `a` and `b` in alternating pairs, `repeats` pairs, and returns
-/// each side's minimum. Alternating keeps a drift in machine speed from
+/// Times `a` and `b` in alternating pairs, at least `repeats` pairs and
+/// until the pairs have taken `min_time` together, and returns each
+/// side's minimum. Alternating keeps a drift in machine speed from
 /// landing on one side of the ratio the gate checks.
 fn min_over_pairs<A, B>(
     repeats: usize,
+    min_time: Duration,
     mut a: impl FnMut() -> A,
     mut b: impl FnMut() -> B,
 ) -> (u64, u64) {
+    let start = Instant::now();
     let (mut best_a, mut best_b) = (u64::MAX, u64::MAX);
-    for _ in 0..repeats.max(1) {
+    let mut pairs = 0;
+    while pairs < repeats.max(1) || start.elapsed() < min_time {
+        pairs += 1;
         // Results drop after the clock stops, as in `min_over`.
         let t0 = Instant::now();
         let ra = a();
@@ -175,6 +187,7 @@ fn bench_workload(
     let mut validated = true;
     let (record_ns, replay_ns) = min_over_pairs(
         cfg.repeats,
+        REPLAY_MIN_TIME,
         || {
             let fs = MemFs::new();
             record_opts(spec, &fs, &opts).expect("plain record")
@@ -272,11 +285,32 @@ mod tests {
         let order = std::cell::RefCell::new(String::new());
         let (a_ns, b_ns) = min_over_pairs(
             3,
+            Duration::ZERO,
             || order.borrow_mut().push('a'),
             || order.borrow_mut().push('b'),
         );
         assert_eq!(order.into_inner(), "ababab");
         assert!(a_ns < u64::MAX && b_ns < u64::MAX);
+
+        // Three pairs take about 3 ms here; pairs go on, still
+        // alternating, until the minimum time is filled.
+        let min_time = Duration::from_millis(20);
+        let order = std::cell::RefCell::new(String::new());
+        let t0 = Instant::now();
+        min_over_pairs(
+            3,
+            min_time,
+            || {
+                order.borrow_mut().push('a');
+                std::thread::sleep(Duration::from_millis(1));
+            },
+            || order.borrow_mut().push('b'),
+        );
+        assert!(t0.elapsed() >= min_time);
+        let order = order.into_inner();
+        let pairs = order.len() / 2;
+        assert!(pairs >= 3, "{order}");
+        assert_eq!(order, "ab".repeat(pairs));
     }
 
     #[test]

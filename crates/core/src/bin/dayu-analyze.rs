@@ -1,16 +1,15 @@
 //! Offline analysis of a persisted DaYu trace — the post-execution half of
-//! the toolset: point it at a `trace.jsonl` produced by any instrumented
+//! the toolset: point it at a `trace.dtb` produced by any instrumented
 //! run and get the graphs, findings and recommendations.
 //!
 //! ```text
-//! dayu-analyze trace.jsonl                 # summary to stdout
-//! dayu-analyze trace.dtb                   # binary traces auto-detected
-//! dayu-analyze trace.bin --format binary   # ...or forced explicitly
-//! dayu-analyze trace.jsonl --out report/   # + FTG/SDG html/dot/json
-//! dayu-analyze trace.jsonl --regions 8     # address-region nodes
-//! dayu-analyze trace.jsonl --aggregate     # collapse parallel task groups
-//! dayu-analyze check trace.jsonl           # dataflow-hazard lint (exit 1 on findings)
-//! dayu-analyze check trace.jsonl --inputs a.h5,b.h5   # declared external inputs
+//! dayu-analyze trace.dtb                   # summary to stdout
+//! dayu-analyze trace.dtb --out report/     # + FTG/SDG html/dot/json
+//! dayu-analyze trace.dtb --regions 8       # address-region nodes
+//! dayu-analyze trace.dtb --aggregate       # collapse parallel task groups
+//! dayu-analyze dump trace.dtb              # the trace as JSON Lines, to stdout
+//! dayu-analyze check trace.dtb             # dataflow-hazard lint (exit 1 on findings)
+//! dayu-analyze check trace.dtb --inputs a.h5,b.h5     # declared external inputs
 //! dayu-analyze check trace.dtb --json --deny extent-race --deny use-after-close
 //!                                          # CI gate: exit 1 only on denied classes
 //! dayu-analyze check trace.dtb --waste     # also report dead datasets / redundant overwrites
@@ -18,14 +17,14 @@
 //!                                          # declared footprints, no trace needed
 //! dayu-analyze predict ddmd                # contract-derived sSDG/sFTG + abstract cost
 //!                                          # model: per-stage bytes/ops, critical path
-//! dayu-analyze predict ddmd --compare run/trace.jsonl --deny incomplete-contract
+//! dayu-analyze predict ddmd --compare run/trace.dtb --deny incomplete-contract
 //!                                          # CI gate: recorded SDG must be contained in
 //!                                          # the prediction (exit 1 on contract holes)
-//! dayu-analyze check trace.jsonl --contracts ddmd --deny contract-violation
+//! dayu-analyze check trace.dtb --contracts ddmd --deny contract-violation
 //!                                          # + replay the trace against the declared
 //!                                          # contracts (out-of-footprint I/O, waste)
 //! dayu-analyze record ddmd                 # record a built-in workload, analyze it
-//! dayu-analyze record ddmd --format binary --out run/    # persist as trace.dtb
+//! dayu-analyze record ddmd --out run/     # persist as run/trace.dtb
 //! dayu-analyze record arldm --chaos-seed 7 --retries 3 --fault-rate 0.05 --out run/
 //! dayu-analyze record ddmd --crash-seed 11 --crash-at 40 --durability journal --resume
 //!                                          # torn-write crash + journaled recovery resume
@@ -67,27 +66,27 @@ use dayu_lint::{
     analyze_contracts, analyze_stream, check_conformance_stream, cost_model, fsck_bytes,
     repair_bytes, CostConfig, Finding, LintConfig, StaticPrediction,
 };
-use dayu_trace::{TraceBundle, TraceFormat};
+use dayu_trace::TraceBundle;
 use dayu_vfd::MemFs;
 use dayu_workflow::{
     record_to_bundle, replay_bundle, RecordOptions, ReplayBundle, RetryPolicy, WorkflowSpec,
     RECORD_FLAGS,
 };
 use dayu_workloads::{arldm, ddmd, pyflextrkr};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::str::FromStr;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: dayu-analyze <trace.{{jsonl|dtb}}> [--format jsonl|binary] [--out DIR]\n                           [--regions N] [--aggregate]\n       dayu-analyze check [<trace.{{jsonl|dtb}}>] [--inputs FILE,FILE,...] [--json]\n                           [--deny CLASS]... [--waste]\n                           [--contracts <ddmd|pyflextrkr|arldm>]\n                           (a trace, --contracts, or both; --contracts alone runs\n                            the static footprint pass, with a trace it also checks\n                            conformance)\n       dayu-analyze predict <ddmd|pyflextrkr|arldm> [--json]\n                           [--compare <trace.{{jsonl|dtb}}>] [--deny CLASS]...\n                           (contract-derived static sSDG/sFTG + abstract cost model;\n                            --compare validates a recorded trace against the prediction,\n                            unpredicted raw edges are incomplete-contract findings)\n       dayu-analyze record <ddmd|pyflextrkr|arldm> [--chaos-seed N] [--retries N]\n                           [--fault-rate P] [--dead-at N] [--crash-seed N] [--crash-at N]\n                           [--durability journal|write-through] [--resume]\n                           [--manual-clock] [--bundle FILE.drb]\n                           [--format jsonl|binary] [--out DIR]\n                           (--fault-rate and --dead-at need --chaos-seed, --crash-at\n                            needs --crash-seed)\n       record exits 0 (clean), 3 (degraded trace), 4 (unrecoverable corruption);\n       on 3/4 a replay bundle is auto-emitted with the reproduction command\n       dayu-analyze bundle verify <run.drb>    # hash-chain check, no re-execution\n       dayu-analyze replay <run.drb>           # re-execute + cross-check (exit 5: diverged)\n       dayu-analyze diff <a.drb> <b.drb> [--json]   # first divergence + SDG ancestors
+        "usage: dayu-analyze <trace.dtb> [--out DIR] [--regions N] [--aggregate]\n       dayu-analyze dump <trace.dtb>           # the trace as JSON Lines, to stdout\n       dayu-analyze check [<trace.dtb>] [--inputs FILE,FILE,...] [--json]\n                           [--deny CLASS]... [--waste]\n                           [--contracts <ddmd|pyflextrkr|arldm>]\n                           (a trace, --contracts, or both; --contracts alone runs\n                            the static footprint pass, with a trace it also checks\n                            conformance)\n       dayu-analyze predict <ddmd|pyflextrkr|arldm> [--json]\n                           [--compare <trace.dtb>] [--deny CLASS]...\n                           (contract-derived static sSDG/sFTG + abstract cost model;\n                            --compare validates a recorded trace against the prediction,\n                            unpredicted raw edges are incomplete-contract findings)\n       dayu-analyze record <ddmd|pyflextrkr|arldm> [--chaos-seed N] [--retries N]\n                           [--fault-rate P] [--dead-at N] [--crash-seed N] [--crash-at N]\n                           [--durability journal|write-through] [--resume]\n                           [--manual-clock] [--bundle FILE.drb] [--out DIR]\n                           (--fault-rate and --dead-at need --chaos-seed, --crash-at\n                            needs --crash-seed)\n       record exits 0 (clean), 3 (degraded trace), 4 (unrecoverable corruption);\n       on 3/4 a replay bundle is auto-emitted with the reproduction command\n       dayu-analyze bundle verify <run.drb>    # hash-chain check, no re-execution\n       dayu-analyze replay <run.drb>           # re-execute + cross-check (exit 5: diverged)\n       dayu-analyze diff <a.drb> <b.drb> [--json]   # first divergence + SDG ancestors
        dayu-analyze serve [--addr HOST:PORT] [--idle-shutdown-ms N]
                            [--max-tenants N] [--sections-per-sec R]
                            # resilient streaming-ingest service: quarantine,
                            # budgets/backpressure, live per-tenant graphs
-       dayu-analyze ingest <trace.{{jsonl|dtb}}> [--addr HOST:PORT] [--tenant NAME]
-                           [--format jsonl|binary]   # stream a trace in per-task
-                           # sections (digest-framed, deduplicated, retried)"
+       dayu-analyze ingest <trace.dtb> [--addr HOST:PORT] [--tenant NAME]
+                           # stream a trace in per-task sections
+                           # (digest-framed, deduplicated, retried)"
     );
     std::process::exit(2);
 }
@@ -156,13 +155,11 @@ impl Args {
 fn record_main(mut args: Args) -> ! {
     let mut out: Option<PathBuf> = None;
     let mut bundle_path: Option<PathBuf> = None;
-    let mut format = TraceFormat::Jsonl;
     let mut run_flags: Vec<String> = Vec::new();
     while let Some(flag) = args.flag() {
         match flag.as_str() {
             "--out" => out = Some(args.value()),
             "--bundle" => bundle_path = Some(args.value()),
-            "--format" => format = args.value(),
             _ => {
                 let Some(&(_, valued)) = RECORD_FLAGS.iter().find(|(f, _)| *f == flag) else {
                     usage()
@@ -274,9 +271,8 @@ fn record_main(mut args: Args) -> ! {
 
     if let Some(dir) = &out {
         std::fs::create_dir_all(dir).expect("create out dir");
-        let trace_name = format!("trace.{}", format.extension());
-        let mut f = std::fs::File::create(dir.join(&trace_name)).expect("create trace file");
-        run.bundle.save(&mut f, format).expect("write trace file");
+        let f = std::fs::File::create(dir.join("trace.dtb")).expect("create trace file");
+        run.bundle.write_binary(f).expect("write trace file");
         // Dump every file image the run left behind (including ones a
         // killed or degraded task only partially wrote) so the format fsck
         // (`dayu-h5ls --fsck`) can audit them offline.
@@ -340,23 +336,29 @@ fn workload_spec(name: &str) -> WorkflowSpec {
     }
 }
 
-/// Reads a trace in either persistence format. `forced` pins the decoder;
-/// otherwise the format is sniffed from the first byte ([`TraceFormat::detect`]).
-fn load_bundle(input: &PathBuf, forced: Option<TraceFormat>) -> TraceBundle {
+/// Reads a `.dtb` trace; a missing or unreadable file exits 1.
+fn load_bundle(input: &PathBuf) -> TraceBundle {
     let file = std::fs::File::open(input).unwrap_or_else(|e| {
         eprintln!("cannot open {}: {e}", input.display());
         std::process::exit(1);
     });
-    let reader = BufReader::new(file);
-    let parsed = match forced {
-        Some(TraceFormat::Jsonl) => TraceBundle::read_jsonl(reader),
-        Some(TraceFormat::Binary) => TraceBundle::read_binary(reader),
-        None => TraceBundle::load(reader),
-    };
-    parsed.unwrap_or_else(|e| {
+    TraceBundle::load(BufReader::new(file)).unwrap_or_else(|e| {
         eprintln!("cannot parse {}: {e}", input.display());
         std::process::exit(1);
     })
+}
+
+/// `dayu-analyze dump`: prints a `.dtb` trace as JSON Lines, a `Meta`
+/// line and then one line per record, the trace's readable export.
+fn dump_main(args: Args) -> ! {
+    let [input] = args.exactly();
+    let bundle = load_bundle(&PathBuf::from(input));
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    if let Err(e) = bundle.write_jsonl(&mut out).and_then(|()| out.flush()) {
+        eprintln!("dump: cannot write: {e}");
+        std::process::exit(1);
+    }
+    std::process::exit(0);
 }
 
 /// A `--deny` value: a finding class `dayu-lint` knows.
@@ -372,9 +374,9 @@ fn deny_class(args: &mut Args) -> String {
 }
 
 /// `dayu-analyze check`: static dataflow-hazard lint over a recorded
-/// trace, streamed record-by-record in either persistence format (the
-/// checker never materializes the bundle, so multi-gigabyte `.dtb`
-/// traces lint in bounded memory).
+/// `.dtb` trace, streamed record by record (the checker never
+/// materializes the bundle, so multi-gigabyte traces lint in bounded
+/// memory).
 ///
 /// `--contracts <workload>` adds the symbolic passes: the static
 /// footprint analysis always runs (it needs no trace — `check
@@ -507,7 +509,7 @@ fn predict_main(mut args: Args) -> ! {
     let costs = cost_model(&pred, &cost_cfg);
 
     let comparison = compare.as_ref().map(|path| {
-        let bundle = load_bundle(path, None);
+        let bundle = load_bundle(path);
         let analysis = Analysis::run(&bundle);
         pred.compare(&analysis.sdg)
     });
@@ -796,17 +798,15 @@ fn serve_main(mut args: Args) -> ! {
 fn ingest_main(mut args: Args) -> ! {
     let mut addr = "127.0.0.1:7474".to_owned();
     let mut tenant: Option<String> = None;
-    let mut forced: Option<TraceFormat> = None;
     while let Some(flag) = args.flag() {
         match flag.as_str() {
             "--addr" => addr = args.value(),
             "--tenant" => tenant = Some(args.value()),
-            "--format" => forced = Some(args.value()),
             _ => usage(),
         }
     }
     let [input] = args.exactly();
-    let bundle = load_bundle(&PathBuf::from(input), forced);
+    let bundle = load_bundle(&PathBuf::from(input));
     let tenant = tenant.unwrap_or_else(|| bundle.meta.workflow.clone());
     // A seed per tenant and process, so clients reconnecting after a
     // service restart back off at different instants.
@@ -873,7 +873,8 @@ type Command = fn(Args) -> !;
 
 /// Every subcommand by name; any other first argument is a trace to
 /// analyze.
-const COMMANDS: [(&str, Command); 8] = [
+const COMMANDS: [(&str, Command); 9] = [
+    ("dump", dump_main),
     ("check", check_main),
     ("predict", predict_main),
     ("record", record_main),
@@ -896,18 +897,16 @@ fn main() {
     let mut out: Option<PathBuf> = None;
     let mut regions: u64 = 0;
     let mut aggregate = false;
-    let mut forced: Option<TraceFormat> = None;
     while let Some(flag) = args.flag() {
         match flag.as_str() {
             "--out" => out = Some(args.value()),
             "--regions" => regions = args.value(),
             "--aggregate" => aggregate = true,
-            "--format" => forced = Some(args.value()),
             _ => usage(),
         }
     }
     let [input] = args.exactly();
-    let bundle = load_bundle(&PathBuf::from(input), forced);
+    let bundle = load_bundle(&PathBuf::from(input));
 
     let sdg_opts = SdgOptions {
         include_regions: regions > 0,

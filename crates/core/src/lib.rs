@@ -139,13 +139,13 @@ impl Diagnosis {
         out
     }
 
-    /// Writes the full artifact set into `dir`: the JSONL trace, FTG and
+    /// Writes the full artifact set into `dir`: the `.dtb` trace, FTG and
     /// SDG in DOT/JSON/HTML, and the recommendation report.
     pub fn write_artifacts(&self, dir: impl AsRef<Path>) -> std::io::Result<()> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let mut f = std::fs::File::create(dir.join("trace.jsonl"))?;
-        self.run.bundle.write_jsonl(&mut f)?;
+        let f = std::fs::File::create(dir.join("trace.dtb"))?;
+        self.run.bundle.write_binary(f)?;
         for (graph, name) in [(&self.analysis.ftg, "ftg"), (&self.analysis.sdg, "sdg")] {
             std::fs::write(dir.join(format!("{name}.dot")), export::to_dot(graph))?;
             std::fs::write(dir.join(format!("{name}.json")), export::to_json(graph))?;
@@ -215,7 +215,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dayu-core-test-{}", std::process::id()));
         d.write_artifacts(&dir).unwrap();
         for name in [
-            "trace.jsonl",
+            "trace.dtb",
             "ftg.dot",
             "ftg.json",
             "ftg.html",
@@ -229,8 +229,8 @@ mod tests {
             assert!(std::fs::metadata(&p).unwrap().len() > 0, "{name} empty");
         }
         // The trace round-trips.
-        let text = std::fs::read(dir.join("trace.jsonl")).unwrap();
-        let back = dayu_trace::TraceBundle::read_jsonl(&text[..]).unwrap();
+        let bytes = std::fs::read(dir.join("trace.dtb")).unwrap();
+        let back = dayu_trace::TraceBundle::load(&bytes[..]).unwrap();
         assert_eq!(back, d.run.bundle);
         std::fs::remove_dir_all(dir).unwrap();
     }

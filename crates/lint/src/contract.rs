@@ -8,8 +8,8 @@
 //!   extent races, read-before-write and use-after-dispose findings from
 //!   declarations alone, before any VFD is opened or byte written.
 //! * [`ConformanceChecker`] — **post-run**. Replays a recorded trace
-//!   (streaming, via [`RecordSink`], so `.dtb` and JSONL both work
-//!   without materializing the bundle) against the declarations and
+//!   (streaming `.dtb`, via [`RecordSink`], without materializing the
+//!   bundle) against the declarations and
 //!   reports [`Finding::ContractViolation`]s: raw-data bytes a task
 //!   touched outside its declared footprint, and declared clauses the
 //!   run never exercised (waste — a stale declaration or dead I/O path).
@@ -188,9 +188,8 @@ fn interned_key(task: &str, file: &str, dataset: &str) -> Option<(TaskKey, FileK
 }
 
 /// Streaming trace-vs-contract conformance. Feed it records (it is a
-/// [`RecordSink`], so [`store::read_jsonl`]-style streams and `.dtb`
-/// replays both drive it directly), then call
-/// [`ConformanceChecker::finish`].
+/// [`RecordSink`], so [`TraceBundle::stream`] drives it directly), then
+/// call [`ConformanceChecker::finish`].
 ///
 /// Its per-record state is keyed by interned symbols; `finish` applies
 /// name order once.
@@ -406,8 +405,7 @@ pub fn check_conformance(bundle: &TraceBundle, spec: &WorkflowSpec) -> Report {
     c.finish()
 }
 
-/// Streaming conformance over a serialized trace (JSONL or `.dtb`,
-/// auto-detected by the store reader) — the bundle is never
+/// Streaming conformance over a `.dtb` trace — the bundle is never
 /// materialized. Returns the report and the raw-data record count.
 pub fn check_conformance_stream<R: BufRead>(
     reader: R,

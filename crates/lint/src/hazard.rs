@@ -9,7 +9,8 @@
 //!   are judged against the happens-before relation induced by task
 //!   dependencies: two accesses conflict when neither task is an ancestor
 //!   of the other.
-//! * **Trace bundles** — recorded runs, streamed through [`TraceChecker`].
+//! * **Trace bundles** — recorded `.dtb` runs, streamed through
+//!   [`TraceChecker`].
 //!   When the trace recorded stage membership, conflicts are judged
 //!   against the real happens-before relation ([`crate::hb`]) at byte
 //!   -extent granularity ([`crate::extent`]): only *concurrent* tasks
@@ -83,16 +84,6 @@ pub struct LintConfig {
     /// are advisory (they feed the advisor's dataset-elision suggestions)
     /// rather than defects.
     pub report_dead_data: bool,
-}
-
-impl LintConfig {
-    /// A config declaring the complete set of pre-existing input files.
-    pub fn with_external_inputs(files: impl IntoIterator<Item = String>) -> Self {
-        Self {
-            external_inputs: Some(files.into_iter().collect()),
-            ..Self::default()
-        }
-    }
 }
 
 /// Extracts the analyzer's view of a replay job. Writes count only when
@@ -332,8 +323,8 @@ struct FileAccess {
 type FileGroup<'a> = [(&'a FileKey, &'a TaskKey, &'a FileAccess)];
 
 /// Streaming trace detector: implements [`RecordSink`], so it lints a
-/// trace in either on-disk format — including million-record `.dtb`
-/// stores — without materializing a [`TraceBundle`]. Feed it through
+/// `.dtb` trace — million-record stores included — without
+/// materializing a [`TraceBundle`]. Feed it through
 /// [`TraceBundle::stream`] (or [`analyze_stream`]) and call
 /// [`TraceChecker::finish`].
 ///
@@ -608,9 +599,9 @@ pub fn analyze_bundle(bundle: &TraceBundle, cfg: &LintConfig) -> Report {
     checker.finish()
 }
 
-/// Streams a trace in either on-disk format (auto-detected) straight into
-/// the detector — no intermediate [`TraceBundle`] — and returns the
-/// report plus the number of data records linted.
+/// Streams a `.dtb` trace straight into the detector — no intermediate
+/// [`TraceBundle`] — and returns the report plus the number of data
+/// records linted.
 pub fn analyze_stream<R: BufRead>(r: R, cfg: &LintConfig) -> io::Result<(Report, u64)> {
     let mut checker = TraceChecker::new(cfg.clone());
     let records = TraceBundle::stream(r, &mut checker)?;
@@ -682,7 +673,10 @@ mod tests {
             &[],
             vec![SimOp::write("tmp", 10), SimOp::read("tmp", 10)],
         )];
-        let cfg = LintConfig::with_external_inputs(Vec::new());
+        let cfg = LintConfig {
+            external_inputs: Some(Default::default()),
+            ..LintConfig::default()
+        };
         assert!(analyze_sim_tasks(&tasks, &cfg).is_clean());
     }
 
@@ -692,7 +686,10 @@ mod tests {
         // Without declared inputs, producer-less files are assumed external.
         assert!(analyze_sim_tasks(&tasks, &LintConfig::default()).is_clean());
         // With a declared input set that lacks the file, the read dangles.
-        let cfg = LintConfig::with_external_inputs(vec!["known".to_owned()]);
+        let cfg = LintConfig {
+            external_inputs: Some(["known".to_owned()].into()),
+            ..LintConfig::default()
+        };
         let report = analyze_sim_tasks(&tasks, &cfg);
         assert_eq!(report.len(), 1);
         assert!(matches!(
@@ -1036,7 +1033,7 @@ mod tests {
     }
 
     #[test]
-    fn analyze_stream_matches_analyze_bundle_in_both_formats() {
+    fn analyze_stream_matches_analyze_bundle() {
         let mut b = staged_bundle(&[&["a", "b"]]);
         b.vfd.push(vfd(
             "a",
@@ -1058,10 +1055,8 @@ mod tests {
         ));
         let cfg = LintConfig::default();
         let want = analyze_bundle(&b, &cfg);
-        for bytes in [b.to_jsonl_bytes(), b.to_binary_bytes()] {
-            let (report, n) = analyze_stream(&bytes[..], &cfg).unwrap();
-            assert_eq!(report, want);
-            assert_eq!(n, 2);
-        }
+        let (report, n) = analyze_stream(&b.to_binary_bytes()[..], &cfg).unwrap();
+        assert_eq!(report, want);
+        assert_eq!(n, 2);
     }
 }

@@ -52,7 +52,7 @@
 //!    plan-DAG walk ([`plan_critical_path_bytes`]) scores optimizer
 //!    candidates by predicted critical-path bytes.
 //!
-//! CLI entry points: `dayu-analyze check <trace.{jsonl,dtb}>` (passes 1 and
+//! CLI entry points: `dayu-analyze check <trace.dtb>` (passes 1 and
 //! 1b over a recorded trace, with `--json` / `--deny <class>` for CI
 //! gating, plus `--contracts <workload>` for passes 4) and
 //! `dayu-h5ls --fsck [--repair] <file>` (passes 3/3b).

@@ -15,7 +15,7 @@
 //! * **producer→consumer flows**: for every dataset, each declared writer
 //!   feeds each declared reader of a *later* stage whose symbolic extent
 //!   hulls may overlap — the stage barrier of
-//!   [`WorkflowSpec`](dayu_workflow::WorkflowSpec) supplies the ordering,
+//!   [`WorkflowSpec`] supplies the ordering,
 //!   so the flow relation is acyclic by construction;
 //! * **dataset live ranges**: the stage span from a dataset's first
 //!   declared producer to its last declared toucher, sized by the resolved

@@ -1,7 +1,7 @@
 //! Symbolic extent algebra over declared I/O contracts.
 //!
-//! [`IoContract`] clauses carry affine byte extents over named parameters
-//! with declared domains. This module turns them into something the
+//! [`IoContract`](dayu_workflow::contract::IoContract) clauses carry
+//! affine byte extents over named parameters with declared domains. This module turns them into something the
 //! linter can reason about *before any VFD is opened*: a sound
 //! over-approximation (the **hull**) of every clause, grouped per
 //! `(task, file, dataset, access mode)` into [`SymFootprint`]s, and a

@@ -23,7 +23,7 @@
 //! to [`Finding::ExtentRace`] with the offending byte range — proof the
 //! rewrite introduces a new extent race. Two oracles exist: the recorded
 //! [`ExtentCatalog`] (dynamics — see [`verified_with_extents`]) and the
-//! declared [`ContractCatalog`](crate::symbolic::ContractCatalog)
+//! declared [`ContractCatalog`]
 //! (semantics — see [`verified_with_contracts`], which needs no recorded
 //! trace at all). A snapshot may carry both; contracts are consulted
 //! first, recorded extents settle whatever the declarations left open.

@@ -31,7 +31,8 @@ impl std::error::Error for ConfigError {}
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MapperConfig {
     /// Where to store recorded statistics (informational; callers decide
-    /// when to actually write the JSONL bundle).
+    /// when and how to write the bundle). Every `.drb` carries this field,
+    /// so its default keeps the `.jsonl` name traces once had.
     pub output: String,
     /// Page size used when the analyzer buckets file addresses into regions.
     pub page_size: u64,

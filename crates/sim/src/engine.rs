@@ -70,16 +70,6 @@ impl SimReport {
         self.tasks.iter().map(|t| t.io_ns).sum()
     }
 
-    /// Sum of all tasks' compute time.
-    pub fn total_compute_ns(&self) -> u64 {
-        self.tasks.iter().map(|t| t.compute_ns).sum()
-    }
-
-    /// Makespan in seconds.
-    pub fn makespan_secs(&self) -> f64 {
-        self.makespan_ns as f64 / 1e9
-    }
-
     /// Report for the named task (first match).
     pub fn task(&self, name: &str) -> Option<&TaskReport> {
         self.tasks.iter().find(|t| t.name == name)
@@ -372,7 +362,6 @@ mod tests {
             r.tasks[0].io_ns > 0,
             "latency still charged for 0-byte read"
         );
-        assert_eq!(r.total_compute_ns(), 500);
     }
 
     #[test]
@@ -559,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn report_lookup_and_seconds() {
+    fn report_lookup_and_makespan() {
         let c = gpu();
         let p = Placement::new();
         let r = Engine::new(&c, &p)
@@ -567,7 +556,7 @@ mod tests {
             .unwrap();
         assert!(r.task("only").is_some());
         assert!(r.task("nope").is_none());
-        assert!((r.makespan_secs() - 2.0).abs() < 1e-9);
+        assert_eq!(r.makespan_ns, 2_000_000_000);
     }
 }
 

@@ -1,10 +1,9 @@
-//! The `.dtb` compact binary trace store ("trace store v2").
+//! The `.dtb` compact binary trace store ("trace store v2"), the one
+//! format traces persist in.
 //!
-//! JSONL is the bundle's interchange format; `.dtb` is the fast path. A
-//! `.dtb` stream is a sequence of self-contained *sections*, one per
+//! A `.dtb` stream is a sequence of self-contained *sections*, one per
 //! [`TraceBundle`] written — concatenating files produced by separately
-//! profiled tasks merges on read exactly like concatenated JSONL. Each
-//! section is:
+//! profiled tasks merges them on read. Each section is:
 //!
 //! ```text
 //! magic    8 bytes  89 'D' 'T' 'B' 0D 0A 1A <version>
@@ -24,9 +23,8 @@
 //! wire protocol use); every name (task, file, object, workflow) is a
 //! varint index into the section's string table — the persisted form of
 //! the process-wide interner ([`crate::intern`]). The magic's first byte
-//! (0x89, non-ASCII, like PNG's) is what
-//! [`TraceBundle::load`](crate::store::TraceBundle::load) sniffs to
-//! auto-detect the format: JSONL lines always start with `{` or whitespace.
+//! is 0x89, non-ASCII like PNG's, so no text file (a JSONL export
+//! included) passes for a trace.
 //!
 //! Unknown versions and truncated frames are `InvalidData` errors: the
 //! format carries no per-frame lengths, so a reader cannot skip content it
@@ -653,7 +651,7 @@ fn read_vfd<F: Fields>(f: &mut F, t: &Table) -> Result<VfdRecord, F::Err> {
 
 // `FileStats` keeps its sequentiality cursor private, so the decoder fills
 // the public statistics into a default value (the cursor legitimately
-// resets across persistence, exactly as it does in JSONL, which omits it).
+// resets across persistence; the JSONL export omits it too).
 #[allow(clippy::field_reassign_with_default)]
 fn read_file<F: Fields>(f: &mut F, t: &Table) -> Result<FileRecord, F::Err> {
     let task = TaskKey::from_symbol(t.sym(f)?);
@@ -857,7 +855,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let err = TraceBundle::read_binary(&b"{\"Meta\":{}}"[..]).unwrap_err();
+        let err = TraceBundle::load(&b"{\"Meta\":{}}"[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -866,7 +864,7 @@ mod tests {
         let mut bytes = MAGIC.to_vec();
         bytes[7] = 0x7F;
         bytes.push(0); // empty table
-        let err = TraceBundle::read_binary(&bytes[..]).unwrap_err();
+        let err = TraceBundle::load(&bytes[..]).unwrap_err();
         assert!(err.to_string().contains("version"));
     }
 
@@ -890,7 +888,7 @@ mod tests {
         write_varint(&mut bytes, 1).unwrap();
         write_usize(&mut bytes, 0).unwrap(); // degraded set
         bytes.push(TAG_END);
-        let b = TraceBundle::read_binary(&bytes[..]).unwrap();
+        let b = TraceBundle::load(&bytes[..]).unwrap();
         assert_eq!(b.meta.workflow, "wf");
         assert_eq!(b.meta.task_order, vec![TaskKey::new("t1")]);
         assert!(b.meta.stages.is_empty());
@@ -920,7 +918,7 @@ mod tests {
         write_usize(&mut bytes, 1).unwrap(); // ...of one task
         write_varint(&mut bytes, 1).unwrap();
         bytes.push(TAG_END);
-        let b = TraceBundle::read_binary(&bytes[..]).unwrap();
+        let b = TraceBundle::load(&bytes[..]).unwrap();
         assert!(b.is_degraded(&TaskKey::new("t1")));
         assert!(b.meta.recovered_tasks.is_empty());
         assert_eq!(b.meta.stages, vec![vec![TaskKey::new("t1")]]);
@@ -934,7 +932,7 @@ mod tests {
         b.mark_recovered(TaskKey::new("a"));
         let bytes = b.to_binary_bytes();
         assert_eq!(bytes[7], MAGIC[7]);
-        let back = TraceBundle::read_binary(&bytes[..]).unwrap();
+        let back = TraceBundle::load(&bytes[..]).unwrap();
         assert!(back.is_recovered(&TaskKey::new("a")));
         assert!(!back.is_recovered(&TaskKey::new("b")));
         assert_eq!(back, b);
@@ -963,7 +961,7 @@ mod tests {
         write_varint(&mut bytes, 1).unwrap();
         write_usize(&mut bytes, 0).unwrap(); // stage lists
         bytes.push(TAG_END);
-        let b = TraceBundle::read_binary(&bytes[..]).unwrap();
+        let b = TraceBundle::load(&bytes[..]).unwrap();
         assert!(b.is_recovered(&TaskKey::new("t1")));
         assert!(b.meta.origin.is_none());
     }
@@ -978,7 +976,7 @@ mod tests {
             tool_version: "0.1.0".into(),
         });
         let bytes = b.to_binary_bytes();
-        let back = TraceBundle::read_binary(&bytes[..]).unwrap();
+        let back = TraceBundle::load(&bytes[..]).unwrap();
         assert_eq!(back.meta.origin, b.meta.origin);
         assert_eq!(back, b);
     }
@@ -994,7 +992,7 @@ mod tests {
         ];
         let bytes = b.to_binary_bytes();
         assert_eq!(bytes[7], MAGIC[7]);
-        let back = TraceBundle::read_binary(&bytes[..]).unwrap();
+        let back = TraceBundle::load(&bytes[..]).unwrap();
         assert_eq!(back.meta.stages, b.meta.stages);
         assert_eq!(back.meta.stage_of(&TaskKey::new("c")), Some(1));
         assert_eq!(back.meta.stage_of(&TaskKey::new("zz")), None);
@@ -1050,7 +1048,7 @@ mod tests {
             ),
         ] {
             let (good, _) = section_with_dtype(tag, fits);
-            let b = TraceBundle::read_binary(&good[..]).unwrap();
+            let b = TraceBundle::load(&good[..]).unwrap();
             assert_eq!(b.vol[0].description.dtype, Some(dtype));
             assert_eq!(b.to_binary_bytes(), good, "{dtype:?} must round-trip");
             let (bad, past) = section_with_dtype(tag, overflows);
@@ -1094,7 +1092,7 @@ mod tests {
         b.push_task(TaskKey::new("t"));
         let bytes = b.to_binary_bytes();
         let cut = &bytes[..bytes.len() - 2];
-        assert!(TraceBundle::read_binary(cut).is_err());
+        assert!(TraceBundle::load(cut).is_err());
     }
 
     #[test]
@@ -1104,6 +1102,6 @@ mod tests {
         let mut bytes = b.to_binary_bytes();
         // Shorter than a magic header: must not be mistaken for clean EOF.
         bytes.extend([0xFF; 4]);
-        assert!(TraceBundle::read_binary(&bytes[..]).is_err());
+        assert!(TraceBundle::load(&bytes[..]).is_err());
     }
 }

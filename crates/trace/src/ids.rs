@@ -16,9 +16,8 @@
 //! strings.
 
 use crate::intern::Symbol;
-use crate::json::{FromJson, Reader, ToJson, Writer};
+use crate::json::{ToJson, Writer};
 use std::fmt;
-use std::io;
 
 macro_rules! string_key {
     ($(#[$doc:meta])* $name:ident) => {
@@ -101,15 +100,6 @@ macro_rules! string_key {
         impl ToJson for $name {
             fn write_json(&self, w: &mut Writer) {
                 w.string(self.as_str());
-            }
-        }
-
-        impl FromJson for $name {
-            fn read_json(r: &mut Reader<'_>) -> io::Result<Self> {
-                // The string borrows from the line unless it has escapes,
-                // so loading a trace interns straight from the read buffer
-                // without a transient String.
-                r.string().map(Self::new)
             }
         }
     };
@@ -206,12 +196,9 @@ mod tests {
     }
 
     #[test]
-    fn serde_is_transparent() {
+    fn json_is_a_plain_string() {
         let f = FileKey::new("file.h5");
-        let json = crate::json::to_string(&f);
-        assert_eq!(json, "\"file.h5\"");
-        let back: FileKey = crate::json::from_str(&json).unwrap();
-        assert_eq!(back, f);
+        assert_eq!(crate::json::to_string(&f), "\"file.h5\"");
     }
 
     #[test]
@@ -236,13 +223,5 @@ mod tests {
         let c = t.clone();
         assert_eq!(t.symbol(), c.symbol());
         assert_eq!(TaskKey::from_symbol(t.symbol()), t);
-    }
-
-    #[test]
-    fn serde_with_escapes_still_interns() {
-        // An escape makes the reader hand over an owned string; both
-        // paths must intern identically.
-        let k: ObjectKey = crate::json::from_str(r#""/\u0061bc""#).unwrap();
-        assert_eq!(k, ObjectKey::new("/abc"));
     }
 }

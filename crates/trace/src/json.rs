@@ -1,5 +1,5 @@
-//! JSON: a writer for every document the workspace prints, and a typed
-//! pull reader for the one it reads back, JSONL trace lines.
+//! JSON: a writer for every document the workspace prints. Nothing in
+//! the workspace reads JSON back; traces are read only as `.dtb`.
 //!
 //! The writer prints serde_json's layout byte for byte, so the tracked
 //! figure exports and bench reports keep their bytes:
@@ -18,18 +18,9 @@
 //!
 //! [`to_json!`](crate::to_json) implements [`ToJson`] for a plain struct
 //! or enum from its field list.
-//!
-//! [`Reader`] reads untrusted bytes: every malformed input is an
-//! [`io::ErrorKind::InvalidData`] error, never a panic. Nesting deeper
-//! than 128 levels is an error rather than a deep recursion. A JSONL
-//! record type reads its fields in any order, skips keys it does not
-//! know, and defaults a missing field only where the type allows one
-//! (`Option`, and the fields added to `TraceMeta` over time).
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io;
 
 /// A value the [`Writer`] can print.
 pub trait ToJson {
@@ -374,447 +365,6 @@ impl<K: AsRef<str>, V: ToJson> ToJson for BTreeMap<K, V> {
     }
 }
 
-/// Deepest nesting of arrays and objects the [`Reader`] accepts.
-pub(crate) const MAX_DEPTH: usize = 128;
-
-/// What the next value in a [`Reader`] is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Kind {
-    /// `{`.
-    Object,
-    /// `[`.
-    Array,
-    /// `"`.
-    String,
-    /// `-` or a digit.
-    Number,
-    /// `true` or `false`.
-    Bool,
-    /// `null`.
-    Null,
-}
-
-/// A value the [`Reader`] can read.
-pub(crate) trait FromJson: Sized {
-    /// Reads one value.
-    fn read_json(r: &mut Reader<'_>) -> io::Result<Self>;
-
-    /// The value of a field its object leaves out: an error, but `None`
-    /// for an `Option`.
-    fn missing(field: &str) -> io::Result<Self> {
-        Err(invalid(format!("missing field `{field}`")))
-    }
-}
-
-/// Reads `text` as one `T` with nothing after it.
-#[cfg(test)]
-pub(crate) fn from_str<T: FromJson>(text: &str) -> io::Result<T> {
-    let mut r = Reader::new(text);
-    let value = T::read_json(&mut r)?;
-    r.finish()?;
-    Ok(value)
-}
-
-/// `value`, or the type's [`FromJson::missing`] value for `field`.
-pub(crate) fn field<T: FromJson>(value: Option<T>, field: &str) -> io::Result<T> {
-    value.map_or_else(|| T::missing(field), Ok)
-}
-
-/// An [`io::ErrorKind::InvalidData`] error.
-pub(crate) fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// The error for an enum tag no variant has.
-pub(crate) fn unknown_variant(tag: &str) -> io::Error {
-    invalid(format!("unknown variant {tag:?}"))
-}
-
-/// A pull reader over one JSON text.
-pub struct Reader<'a> {
-    text: &'a str,
-    pos: usize,
-    depth: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// A reader at the start of `text`.
-    pub fn new(text: &'a str) -> Self {
-        Self {
-            text,
-            pos: 0,
-            depth: 0,
-        }
-    }
-
-    /// Fails unless only whitespace is left.
-    pub fn finish(mut self) -> io::Result<()> {
-        match self.peek_byte() {
-            None => Ok(()),
-            Some(_) => Err(self.error("trailing characters")),
-        }
-    }
-
-    /// The kind of the next value.
-    pub fn peek(&mut self) -> io::Result<Kind> {
-        Ok(match self.peek_byte() {
-            Some(b'{') => Kind::Object,
-            Some(b'[') => Kind::Array,
-            Some(b'"') => Kind::String,
-            Some(b'-' | b'0'..=b'9') => Kind::Number,
-            Some(b't' | b'f') => Kind::Bool,
-            Some(b'n') => Kind::Null,
-            Some(_) => return Err(self.error("expected a value")),
-            None => return Err(self.error("unexpected end of input")),
-        })
-    }
-
-    /// Reads an object, handing each key to `entry`, which must read the
-    /// entry's value (or [`Reader::skip`] it).
-    pub fn object(
-        &mut self,
-        mut entry: impl FnMut(&mut Self, &str) -> io::Result<()>,
-    ) -> io::Result<()> {
-        self.open(b'{')?;
-        if !self.eat(b'}') {
-            loop {
-                let key = self.key()?;
-                entry(self, &key)?;
-                if self.eat(b'}') {
-                    break;
-                }
-                self.expect(b',')?;
-            }
-        }
-        self.depth -= 1;
-        Ok(())
-    }
-
-    /// Reads an array, calling `item` once per element to read it.
-    pub fn array(&mut self, mut item: impl FnMut(&mut Self) -> io::Result<()>) -> io::Result<()> {
-        self.open(b'[')?;
-        if !self.eat(b']') {
-            loop {
-                item(self)?;
-                if self.eat(b']') {
-                    break;
-                }
-                self.expect(b',')?;
-            }
-        }
-        self.depth -= 1;
-        Ok(())
-    }
-
-    /// Reads the head of an externally tagged variant with content,
-    /// `{"tag":`, and returns the tag. The caller reads the content, then
-    /// calls [`Reader::end_variant`].
-    pub(crate) fn variant(&mut self) -> io::Result<Cow<'a, str>> {
-        self.open(b'{')?;
-        self.key()
-    }
-
-    /// Reads the `}` that closes a [`Reader::variant`].
-    pub(crate) fn end_variant(&mut self) -> io::Result<()> {
-        self.expect(b'}')?;
-        self.depth -= 1;
-        Ok(())
-    }
-
-    /// Reads a string, borrowed from the text when it has no escapes.
-    pub fn string(&mut self) -> io::Result<Cow<'a, str>> {
-        self.expect(b'"')?;
-        let text = self.text;
-        let mut owned: Option<String> = None;
-        let mut run = self.pos;
-        loop {
-            let Some(&b) = text.as_bytes().get(self.pos) else {
-                return Err(self.error("unterminated string"));
-            };
-            match b {
-                b'"' => {
-                    let tail = &text[run..self.pos];
-                    self.pos += 1;
-                    return Ok(match owned {
-                        None => Cow::Borrowed(tail),
-                        Some(s) => Cow::Owned(s + tail),
-                    });
-                }
-                b'\\' => {
-                    let before = &text[run..self.pos];
-                    self.pos += 1;
-                    let c = self.escape()?;
-                    let s = owned.get_or_insert_with(String::new);
-                    s.push_str(before);
-                    s.push(c);
-                    run = self.pos;
-                }
-                0..=0x1f => return Err(self.error("control character in string")),
-                _ => self.pos += 1,
-            }
-        }
-    }
-
-    /// Reads a number and returns its text, checked against JSON's
-    /// grammar: `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
-    pub fn number(&mut self) -> io::Result<&'a str> {
-        self.peek_byte();
-        let start = self.pos;
-        self.eat_raw(b'-');
-        if !self.eat_raw(b'0') && self.digits() == 0 {
-            return Err(self.error("expected a number"));
-        }
-        if self.eat_raw(b'.') && self.digits() == 0 {
-            return Err(self.error("expected a digit after `.`"));
-        }
-        if self.eat_raw(b'e') || self.eat_raw(b'E') {
-            let _ = self.eat_raw(b'+') || self.eat_raw(b'-');
-            if self.digits() == 0 {
-                return Err(self.error("expected an exponent"));
-            }
-        }
-        let text = self.text;
-        Ok(&text[start..self.pos])
-    }
-
-    /// Reads an unsigned integer no larger than `u64::MAX`.
-    pub fn u64(&mut self) -> io::Result<u64> {
-        let n = self.number()?;
-        if !n.bytes().all(|b| b.is_ascii_digit()) {
-            return Err(self.error("expected an unsigned integer"));
-        }
-        n.parse().map_err(|_| self.error("integer out of range"))
-    }
-
-    /// Reads `true` or `false`.
-    pub fn bool(&mut self) -> io::Result<bool> {
-        self.peek_byte();
-        if self.word("true") {
-            Ok(true)
-        } else if self.word("false") {
-            Ok(false)
-        } else {
-            Err(self.error("expected `true` or `false`"))
-        }
-    }
-
-    /// Reads a `null` if one comes next; whether it did.
-    pub fn null(&mut self) -> bool {
-        self.peek_byte();
-        self.word("null")
-    }
-
-    /// Reads past one value of any kind.
-    pub fn skip(&mut self) -> io::Result<()> {
-        match self.peek()? {
-            Kind::Object => self.object(|r, _| r.skip()),
-            Kind::Array => self.array(|r| r.skip()),
-            Kind::String => self.string().map(drop),
-            Kind::Number => self.number().map(drop),
-            Kind::Bool => self.bool().map(drop),
-            Kind::Null if self.null() => Ok(()),
-            Kind::Null => Err(self.error("expected `null`")),
-        }
-    }
-
-    fn error(&self, what: &str) -> io::Error {
-        invalid(format!("{what} at byte {}", self.pos))
-    }
-
-    /// Skips whitespace; the next byte, if any.
-    fn peek_byte(&mut self) -> Option<u8> {
-        let bytes = self.text.as_bytes();
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(self.pos) {
-            self.pos += 1;
-        }
-        bytes.get(self.pos).copied()
-    }
-
-    /// Consumes `b` if it comes next after whitespace.
-    fn eat(&mut self, b: u8) -> bool {
-        self.peek_byte() == Some(b) && self.eat_raw(b)
-    }
-
-    /// Consumes `b` if it is the very next byte.
-    fn eat_raw(&mut self, b: u8) -> bool {
-        let hit = self.text.as_bytes().get(self.pos) == Some(&b);
-        self.pos += usize::from(hit);
-        hit
-    }
-
-    fn expect(&mut self, b: u8) -> io::Result<()> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn word(&mut self, w: &str) -> bool {
-        let hit = self.text.as_bytes()[self.pos..].starts_with(w.as_bytes());
-        if hit {
-            self.pos += w.len();
-        }
-        hit
-    }
-
-    fn digits(&mut self) -> usize {
-        let start = self.pos;
-        while self
-            .text
-            .as_bytes()
-            .get(self.pos)
-            .is_some_and(u8::is_ascii_digit)
-        {
-            self.pos += 1;
-        }
-        self.pos - start
-    }
-
-    /// Opens an array or object, one level deeper.
-    fn open(&mut self, bracket: u8) -> io::Result<()> {
-        self.expect(bracket)?;
-        if self.depth == MAX_DEPTH {
-            return Err(self.error("nesting too deep"));
-        }
-        self.depth += 1;
-        Ok(())
-    }
-
-    /// An object key and its `:`.
-    fn key(&mut self) -> io::Result<Cow<'a, str>> {
-        if self.peek_byte() != Some(b'"') {
-            return Err(self.error("expected a string key"));
-        }
-        let key = self.string()?;
-        self.expect(b':')?;
-        Ok(key)
-    }
-
-    /// The character of an escape whose `\` was just read.
-    fn escape(&mut self) -> io::Result<char> {
-        let Some(&b) = self.text.as_bytes().get(self.pos) else {
-            return Err(self.error("unterminated escape"));
-        };
-        self.pos += 1;
-        Ok(match b {
-            b'"' => '"',
-            b'\\' => '\\',
-            b'/' => '/',
-            b'b' => '\u{8}',
-            b'f' => '\u{c}',
-            b'n' => '\n',
-            b'r' => '\r',
-            b't' => '\t',
-            b'u' => {
-                let hi = self.hex4()?;
-                let code = match hi {
-                    0xd800..=0xdbff => {
-                        if !(self.eat_raw(b'\\') && self.eat_raw(b'u')) {
-                            return Err(self.error("lone leading surrogate"));
-                        }
-                        let lo = self.hex4()?;
-                        if !(0xdc00..=0xdfff).contains(&lo) {
-                            return Err(self.error("invalid trailing surrogate"));
-                        }
-                        0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
-                    }
-                    0xdc00..=0xdfff => return Err(self.error("lone trailing surrogate")),
-                    _ => hi,
-                };
-                char::from_u32(code).ok_or_else(|| self.error("invalid escape"))?
-            }
-            _ => return Err(self.error("invalid escape")),
-        })
-    }
-
-    fn hex4(&mut self) -> io::Result<u32> {
-        let hex = self
-            .text
-            .get(self.pos..self.pos + 4)
-            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
-            .ok_or_else(|| self.error("expected four hex digits"))?;
-        self.pos += 4;
-        Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
-    }
-}
-
-impl FromJson for u64 {
-    fn read_json(r: &mut Reader<'_>) -> io::Result<Self> {
-        r.u64()
-    }
-}
-
-impl FromJson for String {
-    fn read_json(r: &mut Reader<'_>) -> io::Result<Self> {
-        r.string().map(Cow::into_owned)
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn read_json(r: &mut Reader<'_>) -> io::Result<Self> {
-        let mut out = Vec::new();
-        r.array(|r| {
-            out.push(T::read_json(r)?);
-            Ok(())
-        })?;
-        Ok(out)
-    }
-}
-
-impl<T: FromJson> FromJson for Option<T> {
-    fn read_json(r: &mut Reader<'_>) -> io::Result<Self> {
-        if r.null() {
-            Ok(None)
-        } else {
-            T::read_json(r).map(Some)
-        }
-    }
-
-    fn missing(_: &str) -> io::Result<Self> {
-        Ok(None)
-    }
-}
-
-/// [`to_json!`](crate::to_json) plus a [`FromJson`] impl reading the same
-/// fields in any order; `..default` after the list fills the fields JSON
-/// does not carry. For an `enum` of unit variants, both directions.
-macro_rules! record {
-    ($ty:ident { $($field:ident),* $(,)? } $($dots:tt $rest:expr)?) => {
-        $crate::to_json!($ty { $($field),* $(, $dots)? });
-        impl $crate::json::FromJson for $ty {
-            fn read_json(r: &mut $crate::json::Reader<'_>) -> std::io::Result<Self> {
-                $(let mut $field = None;)*
-                r.object(|r, key| {
-                    match key {
-                        $(stringify!($field) => {
-                            $field = Some($crate::json::FromJson::read_json(r)?)
-                        })*
-                        _ => r.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok($ty {
-                    $($field: $crate::json::field($field, stringify!($field))?,)*
-                    $($dots $rest)?
-                })
-            }
-        }
-    };
-    (enum $ty:ident { $($variant:ident),* $(,)? }) => {
-        $crate::to_json!(enum $ty { $($variant),* });
-        impl $crate::json::FromJson for $ty {
-            fn read_json(r: &mut $crate::json::Reader<'_>) -> std::io::Result<Self> {
-                match &*r.string()? {
-                    $(stringify!($variant) => Ok($ty::$variant),)*
-                    other => Err($crate::json::unknown_variant(other)),
-                }
-            }
-        }
-    };
-}
-pub(crate) use record;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -923,103 +473,5 @@ mod tests {
         assert_eq!(to_string_pretty(&empty), "{}");
         let map: BTreeMap<&str, u64> = [("b", 2), ("a", 1)].into();
         assert_eq!(to_string(&map), r#"{"a":1,"b":2}"#);
-    }
-
-    #[test]
-    fn reads_values_of_every_kind() {
-        let text = r#" { "s" : "x\"\u00e9\ud83d\ude00" , "n": [0, -1.5e3, 18446744073709551615],
-            "b": [true, false], "z": null, "o": {"deep": [{}]} } "#;
-        let mut r = Reader::new(text);
-        let mut seen = Vec::new();
-        r.object(|r, key| {
-            match key {
-                "s" => assert_eq!(r.string()?, "x\"é😀"),
-                "n" => {
-                    let mut nums = Vec::new();
-                    r.array(|r| {
-                        nums.push(r.number()?.to_owned());
-                        Ok(())
-                    })?;
-                    assert_eq!(nums, ["0", "-1.5e3", "18446744073709551615"]);
-                }
-                "b" => {
-                    let mut bools = Vec::new();
-                    r.array(|r| {
-                        bools.push(r.bool()?);
-                        Ok(())
-                    })?;
-                    assert_eq!(bools, [true, false]);
-                }
-                "z" => assert!(r.null()),
-                _ => r.skip()?,
-            }
-            seen.push(key.to_owned());
-            Ok(())
-        })
-        .unwrap();
-        r.finish().unwrap();
-        assert_eq!(seen, ["s", "n", "b", "z", "o"]);
-        assert_eq!(Reader::new("18446744073709551615").u64().unwrap(), u64::MAX);
-        let plain = Reader::new(r#""plain""#).string().unwrap();
-        assert!(matches!(plain, Cow::Borrowed("plain")));
-    }
-
-    /// Reads `text` as a whole value of any shape.
-    fn skim(text: &str) -> io::Result<()> {
-        let mut r = Reader::new(text);
-        r.skip()?;
-        r.finish()
-    }
-
-    #[test]
-    fn malformed_input_is_invalid_data() {
-        let deep_arrays = "[".repeat(100_000);
-        let deep_objects = "{\"k\":".repeat(100_000);
-        let too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
-        for bad in [
-            "",
-            " ",
-            "nul",
-            "tru",
-            "01",
-            "1.",
-            "1e",
-            "-",
-            "+1",
-            ".5",
-            "[1,]",
-            "[1 2]",
-            "{\"a\":1,}",
-            "{\"a\" 1}",
-            "{1:2}",
-            "{null:2}",
-            "\"abc",
-            "\"\\x\"",
-            "\"\\u12\"",
-            "\"\\ud800\"",
-            "\"\\ud800\\u0041\"",
-            "\"\\udc00\"",
-            "\"tab\there\"",
-            "[1] x",
-            "}",
-            deep_arrays.as_str(),
-            deep_objects.as_str(),
-            too_deep.as_str(),
-        ] {
-            let err = skim(bad).expect_err(&bad[..bad.len().min(40)]);
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad:.40}");
-        }
-        let ok_deep = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
-        skim(&ok_deep).unwrap();
-        for (text, ok) in [
-            ("18446744073709551615", true),
-            ("18446744073709551616", false),
-            ("-1", false),
-            ("1.0", false),
-            ("1e3", false),
-            ("\"1\"", false),
-        ] {
-            assert_eq!(Reader::new(text).u64().is_ok(), ok, "{text}");
-        }
     }
 }

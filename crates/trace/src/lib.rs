@@ -19,9 +19,9 @@
 //! shared-memory channel the paper uses to communicate the *current data
 //! object* from the VOL layer down to the VFD layer so that each low-level
 //! operation can be attributed to the semantic object that caused it — and
-//! the [`store::TraceBundle`] container with JSONL persistence used by the
-//! Workflow Analyzer, and the [`json`] writer every JSON document goes
-//! through.
+//! the [`store::TraceBundle`] container used by the Workflow Analyzer,
+//! persisted as `.dtb` ([`binary`]) and exported as JSON Lines, and the
+//! [`json`] writer every JSON document goes through.
 
 pub mod binary;
 pub mod context;
@@ -43,7 +43,7 @@ pub use ids::{FileKey, ObjectKey, TaskKey};
 pub use intern::{Symbol, SymbolMap, SymbolSet};
 pub use section::{decode_section, SectionDecodeError};
 pub use sha256::{sha256, Sha256};
-pub use store::{RecordSink, TraceBundle, TraceFormat, TraceMeta, TraceOrigin};
+pub use store::{RecordSink, TraceBundle, TraceMeta, TraceOrigin};
 pub use time::{Clock, ManualClock, RealClock, Timestamp};
 pub use vfd::{AccessType, FileRecord, IoKind, VfdRecord};
 pub use vol::{ObjectDescription, ObjectKind, VolAccess, VolAccessKind, VolRecord};

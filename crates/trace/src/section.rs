@@ -16,7 +16,7 @@
 //! that happens to decode to *some* valid section is indistinguishable
 //! from honest data at this layer — the format carries no per-frame
 //! checksum — which is why the wire protocol in `dayu-served` frames every
-//! section with a SHA-256 digest ([`crate::sha256`]) checked before the
+//! section with a SHA-256 digest ([`crate::sha256()`]) checked before the
 //! bytes ever reach this decoder.
 //!
 //! [`TraceBundle::split_per_task`] is the inverse convenience: it cuts a
@@ -66,9 +66,8 @@ impl std::error::Error for SectionDecodeError {
 
 /// Decodes one or more concatenated `.dtb` sections from `bytes`,
 /// merging them with the usual concatenation semantics. Unlike
-/// [`TraceBundle::read_binary`], the input must actually *be* binary (an
-/// empty or JSONL blob is an error, not an empty bundle) and failures
-/// report the byte offset at which decoding stopped.
+/// [`TraceBundle::load`], an empty blob is an error, not an empty bundle,
+/// and failures report the byte offset at which decoding stopped.
 pub fn decode_section(bytes: &[u8]) -> Result<TraceBundle, SectionDecodeError> {
     if bytes.first() != Some(&crate::binary::MAGIC[0]) {
         return Err(SectionDecodeError {
@@ -82,7 +81,7 @@ pub fn decode_section(bytes: &[u8]) -> Result<TraceBundle, SectionDecodeError> {
     // The slice itself is the reader: what it has left after a failure
     // says how far the decoder got.
     let mut rest = bytes;
-    TraceBundle::read_binary(&mut rest).map_err(|cause| SectionDecodeError {
+    TraceBundle::load(&mut rest).map_err(|cause| SectionDecodeError {
         offset: (bytes.len() - rest.len()) as u64,
         cause,
     })

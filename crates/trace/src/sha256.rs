@@ -1,6 +1,6 @@
 //! A minimal, dependency-free SHA-256 (FIPS 180-4).
 //!
-//! Replay bundles ([`dayu-workflow`]'s `.drb` container) chain a SHA-256
+//! Replay bundles (`dayu-workflow`'s `.drb` container) chain a SHA-256
 //! digest across their sections so tampering and truncation are detectable
 //! without re-executing the workload, and the ingest service checks every
 //! wire section against its declared digest. The workspace deliberately

@@ -1,72 +1,23 @@
-//! Trace container and JSONL persistence.
+//! Trace container and persistence.
 //!
 //! The Data Semantic Mapper accumulates statistics "as entries in a hash
 //! table in the duration of the task" and flushes them when files close. The
 //! flushed records from every task of a workflow are collected into a
 //! [`TraceBundle`], the interchange format consumed by the Workflow Analyzer.
 //!
-//! Bundles serialize in either of two formats with identical semantics:
-//!
-//! * **JSON Lines** — one header line, then one line per record; the
-//!   human-greppable interchange format.
-//! * **`.dtb` binary** ([`crate::binary`], "trace store v2") — varint-framed
-//!   records over a per-file string table; several times smaller and faster.
-//!
-//! Both stream without buffering the whole trace, and bundles from
-//! separately-profiled tasks concatenate by appending files in either
-//! format. [`TraceBundle::load`] sniffs the leading byte and dispatches.
+//! Bundles persist in one format, `.dtb` ([`crate::binary`]): varint-framed
+//! records over a per-section string table. It streams without buffering
+//! the whole trace, and bundles from separately-profiled tasks concatenate
+//! by appending files. JSON Lines (one header line, then one line per
+//! record) is an export only: [`TraceBundle::write_jsonl`] writes it and
+//! nothing reads it back.
 
 use crate::ids::TaskKey;
 use crate::intern::SymbolSet;
-use crate::json::{self, FromJson, Reader, ToJson, Writer};
+use crate::json::{self, ToJson, Writer};
 use crate::vfd::{FileRecord, VfdRecord};
 use crate::vol::VolRecord;
 use std::io::{self, BufRead, Write};
-
-/// On-disk encoding of a [`TraceBundle`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// One JSON object per line (`trace.jsonl`).
-    #[default]
-    Jsonl,
-    /// Compact varint-framed binary (`trace.dtb`, see [`crate::binary`]).
-    Binary,
-}
-
-impl TraceFormat {
-    /// Detects the format from the first byte of a stream: `.dtb` sections
-    /// open with a 0x89 magic byte, which can never start a JSONL stream
-    /// (lines begin with `{` or whitespace).
-    pub fn detect(first_byte: u8) -> TraceFormat {
-        if first_byte == crate::binary::MAGIC[0] {
-            TraceFormat::Binary
-        } else {
-            TraceFormat::Jsonl
-        }
-    }
-
-    /// Conventional file extension (without the dot).
-    pub fn extension(self) -> &'static str {
-        match self {
-            TraceFormat::Jsonl => "jsonl",
-            TraceFormat::Binary => "dtb",
-        }
-    }
-}
-
-impl std::str::FromStr for TraceFormat {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "jsonl" | "json" => Ok(TraceFormat::Jsonl),
-            "binary" | "dtb" => Ok(TraceFormat::Binary),
-            other => Err(format!(
-                "unknown trace format {other:?} (expected jsonl or binary)"
-            )),
-        }
-    }
-}
 
 /// Bundle-level metadata.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -104,8 +55,8 @@ pub struct TraceMeta {
     /// ran, and which tool version produced the trace. Until replay bundles
     /// existed only the CLI knew this; a trace that outlives its invocation
     /// needs it to be reproducible. Traces written before provenance existed
-    /// (default: `None`) normalize to an absent origin on read in both
-    /// JSONL and `.dtb`; JSONL leaves an absent origin out.
+    /// (default: `None`) read as an absent origin; JSONL leaves an absent
+    /// origin out.
     pub origin: Option<TraceOrigin>,
 }
 
@@ -125,32 +76,6 @@ impl ToJson for TraceMeta {
     }
 }
 
-/// Only `workflow`, `task_order` and `page_size` are required: the other
-/// fields came later, and lines written before them read as empty.
-impl FromJson for TraceMeta {
-    fn read_json(r: &mut Reader<'_>) -> io::Result<Self> {
-        let mut meta = TraceMeta::default();
-        let (mut workflow, mut task_order, mut page_size) = (None, None, None);
-        r.object(|r, key| {
-            match key {
-                "workflow" => workflow = Some(String::read_json(r)?),
-                "task_order" => task_order = Some(Vec::read_json(r)?),
-                "page_size" => page_size = Some(r.u64()?),
-                "degraded_tasks" => meta.degraded_tasks = Vec::read_json(r)?,
-                "recovered_tasks" => meta.recovered_tasks = Vec::read_json(r)?,
-                "stages" => meta.stages = Vec::read_json(r)?,
-                "origin" => meta.origin = Option::read_json(r)?,
-                _ => r.skip()?,
-            }
-            Ok(())
-        })?;
-        meta.workflow = json::field(workflow, "workflow")?;
-        meta.task_order = json::field(task_order, "task_order")?;
-        meta.page_size = json::field(page_size, "page_size")?;
-        Ok(meta)
-    }
-}
-
 /// Provenance of a trace: what produced it and from which inputs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceOrigin {
@@ -163,7 +88,7 @@ pub struct TraceOrigin {
     pub tool_version: String,
 }
 
-json::record!(TraceOrigin {
+crate::to_json!(TraceOrigin {
     workload,
     params,
     tool_version
@@ -286,15 +211,6 @@ pub struct TraceBundle {
     pub files: Vec<FileRecord>,
 }
 
-/// The content of a JSONL line, `{"Tag":content}`, whose tag the reader
-/// has just read; the content must end the line.
-fn line_content<T: FromJson>(mut r: Reader<'_>) -> io::Result<T> {
-    let value = T::read_json(&mut r)?;
-    r.end_variant()?;
-    r.finish()?;
-    Ok(value)
-}
-
 impl TraceBundle {
     /// An empty bundle for the named workflow.
     pub fn new(workflow: impl Into<String>) -> Self {
@@ -327,11 +243,6 @@ impl TraceBundle {
         self.meta.degraded_tasks.binary_search(task).is_ok()
     }
 
-    /// Whether any task in the bundle is degraded.
-    pub fn has_degraded_tasks(&self) -> bool {
-        !self.meta.degraded_tasks.is_empty()
-    }
-
     /// Marks `task` as resumed-from-recovery: one of its attempts reopened
     /// a crashed journaled file and continued from its committed state.
     /// Sorted and deduped like the degraded set.
@@ -344,11 +255,6 @@ impl TraceBundle {
     /// Whether `task` was marked as resumed-from-recovery.
     pub fn is_recovered(&self, task: &TaskKey) -> bool {
         self.meta.recovered_tasks.binary_search(task).is_ok()
-    }
-
-    /// Whether any task in the bundle resumed from crash recovery.
-    pub fn has_recovered_tasks(&self) -> bool {
-        !self.meta.recovered_tasks.is_empty()
     }
 
     /// Appends all records of `other` to this bundle and merges its meta
@@ -414,55 +320,16 @@ impl TraceBundle {
         Ok(())
     }
 
-    /// Reads a bundle from JSON Lines. Multiple concatenated bundles merge:
-    /// records append and metas merge by [`TraceMeta::merge`].
-    pub fn read_jsonl<R: BufRead>(r: R) -> io::Result<Self> {
-        let mut sink = Collector::default();
-        Self::stream_jsonl(r, &mut sink)?;
-        Ok(sink.out)
+    /// Streams a `.dtb` trace into `sink` one record at a time, without
+    /// ever materializing a full [`TraceBundle`]: the path the lint
+    /// detector takes over million-record traces. Returns the number of
+    /// data records (vol + vfd + file) delivered. Input that is not `.dtb`,
+    /// JSON Lines included, is an error.
+    pub fn stream<R: BufRead, S: RecordSink>(r: R, sink: &mut S) -> io::Result<u64> {
+        crate::binary::stream_bundles(r, sink)
     }
 
-    /// Streams a JSONL trace into `sink` one record at a time; returns the
-    /// number of data records (vol + vfd + file) delivered. A line that is
-    /// not one whole record is an [`io::ErrorKind::InvalidData`] error.
-    pub fn stream_jsonl<R: BufRead, S: RecordSink>(r: R, sink: &mut S) -> io::Result<u64> {
-        let mut records = 0u64;
-        for line in r.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut r = Reader::new(&line);
-            let tag = r.variant()?;
-            match &*tag {
-                "Meta" => sink.meta(line_content(r)?)?,
-                "Vol" => sink.vol(line_content(r)?)?,
-                "Vfd" => sink.vfd(line_content(r)?)?,
-                "File" => sink.file(line_content(r)?)?,
-                other => return Err(json::unknown_variant(other)),
-            }
-            records += u64::from(tag != "Meta");
-        }
-        Ok(records)
-    }
-
-    /// Streams a trace in either format (auto-detected from the first byte)
-    /// into `sink`, without ever materializing a full [`TraceBundle`] —
-    /// the path the lint detector takes over million-record `.dtb` traces.
-    /// Returns the number of data records delivered.
-    pub fn stream<R: BufRead, S: RecordSink>(mut r: R, sink: &mut S) -> io::Result<u64> {
-        let head = r.fill_buf()?;
-        match head.first() {
-            None => Ok(0),
-            Some(&b) => match TraceFormat::detect(b) {
-                TraceFormat::Binary => crate::binary::stream_bundles(r, sink),
-                TraceFormat::Jsonl => Self::stream_jsonl(r, sink),
-            },
-        }
-    }
-
-    /// Round-trips through the JSONL encoding into a byte buffer (useful for
-    /// storage accounting and tests).
+    /// The JSON Lines export as a byte buffer.
     pub fn to_jsonl_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         self.write_jsonl(&mut buf)
@@ -477,14 +344,6 @@ impl TraceBundle {
         crate::binary::write_bundle(self, &mut w)
     }
 
-    /// Reads a bundle from the `.dtb` binary format. Concatenated sections
-    /// merge with the same semantics as concatenated JSONL.
-    pub fn read_binary<R: BufRead>(r: R) -> io::Result<Self> {
-        let mut sink = Collector::default();
-        crate::binary::stream_bundles(r, &mut sink)?;
-        Ok(sink.out)
-    }
-
     /// Round-trips through the binary encoding into a byte buffer.
     pub fn to_binary_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -493,17 +352,9 @@ impl TraceBundle {
         buf
     }
 
-    /// Writes the bundle in the requested format.
-    pub fn save<W: Write>(&self, w: W, format: TraceFormat) -> io::Result<()> {
-        match format {
-            TraceFormat::Jsonl => self.write_jsonl(w),
-            TraceFormat::Binary => self.write_binary(w),
-        }
-    }
-
-    /// Reads a bundle in either format, auto-detected from the first byte
-    /// ([`TraceFormat::detect`]). An empty stream is an empty bundle, as it
-    /// is for JSONL.
+    /// Reads a `.dtb` bundle. Concatenated sections merge: records append
+    /// and metas merge by [`TraceMeta::merge`]. An empty stream is an empty
+    /// bundle.
     pub fn load<R: BufRead>(r: R) -> io::Result<Self> {
         let mut sink = Collector::default();
         Self::stream(r, &mut sink)?;
@@ -584,29 +435,23 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trip() {
-        let b = bundle();
-        let bytes = b.to_jsonl_bytes();
-        let back = TraceBundle::read_jsonl(&bytes[..]).unwrap();
-        assert_eq!(back, b);
-    }
-
-    #[test]
     fn concatenated_bundles_merge_on_read() {
-        let mut b1 = bundle();
-        b1.meta.workflow = "wf".into();
+        let b1 = bundle();
         let mut b2 = bundle();
         b2.meta.task_order = vec![TaskKey::new("t2")];
-        let mut bytes = b1.to_jsonl_bytes();
-        bytes.extend(b2.to_jsonl_bytes());
-        let back = TraceBundle::read_jsonl(&bytes[..]).unwrap();
+        b2.mark_degraded(TaskKey::new("t2"));
+        let mut bytes = b1.to_binary_bytes();
+        bytes.extend(b2.to_binary_bytes());
+        let back = TraceBundle::load(&bytes[..]).unwrap();
         assert_eq!(back.meta.workflow, "wf");
         assert_eq!(
             back.meta.task_order,
             vec![TaskKey::new("t1"), TaskKey::new("t2")]
         );
+        assert_eq!(back.meta.degraded_tasks, vec![TaskKey::new("t2")]);
         assert_eq!(back.vol.len(), 2);
         assert_eq!(back.vfd.len(), 2);
+        assert_eq!(back.files.len(), 2);
     }
 
     #[test]
@@ -647,8 +492,7 @@ mod tests {
         a.mark_degraded(TaskKey::new("t1"));
         a.mark_degraded(TaskKey::new("t1")); // idempotent
         assert!(a.is_degraded(&TaskKey::new("t1")));
-        assert!(a.has_degraded_tasks());
-        let back = TraceBundle::read_jsonl(&a.to_jsonl_bytes()[..]).unwrap();
+        let back = TraceBundle::load(&a.to_binary_bytes()[..]).unwrap();
         assert_eq!(back.meta.degraded_tasks, vec![TaskKey::new("t1")]);
 
         // Merge unions degraded sets without duplicates.
@@ -661,12 +505,12 @@ mod tests {
             vec![TaskKey::new("t1"), TaskKey::new("t2")]
         );
 
-        // Concatenated JSONL streams union degraded sets too.
+        // Concatenated sections union degraded sets too.
         let mut first = bundle();
         first.mark_degraded(TaskKey::new("t1"));
-        let mut bytes = first.to_jsonl_bytes();
-        bytes.extend(b.to_jsonl_bytes());
-        let merged = TraceBundle::read_jsonl(&bytes[..]).unwrap();
+        let mut bytes = first.to_binary_bytes();
+        bytes.extend(b.to_binary_bytes());
+        let merged = TraceBundle::load(&bytes[..]).unwrap();
         assert_eq!(
             merged.meta.degraded_tasks,
             vec![TaskKey::new("t1"), TaskKey::new("t2")]
@@ -679,8 +523,7 @@ mod tests {
         a.mark_recovered(TaskKey::new("t1"));
         a.mark_recovered(TaskKey::new("t1")); // idempotent
         assert!(a.is_recovered(&TaskKey::new("t1")));
-        assert!(a.has_recovered_tasks());
-        let back = TraceBundle::read_jsonl(&a.to_jsonl_bytes()[..]).unwrap();
+        let back = TraceBundle::load(&a.to_binary_bytes()[..]).unwrap();
         assert_eq!(back.meta.recovered_tasks, vec![TaskKey::new("t1")]);
 
         // Merge unions recovered sets without duplicates.
@@ -693,65 +536,13 @@ mod tests {
             vec![TaskKey::new("t1"), TaskKey::new("t2")]
         );
 
-        // Concatenated JSONL streams union recovered sets too, and a Meta
-        // line written before recovered_tasks existed decodes to an empty
-        // set without affecting the union.
-        let mut bytes = b.to_jsonl_bytes();
-        bytes.extend(br#"{"Meta":{"workflow":"old","task_order":[],"page_size":4096}}"#.as_slice());
-        bytes.push(b'\n');
-        let merged = TraceBundle::read_jsonl(&bytes[..]).unwrap();
+        // Concatenated sections union recovered sets too, and a section
+        // without a recovered set leaves the union as it is.
+        let mut bytes = b.to_binary_bytes();
+        bytes.extend(TraceBundle::new("old").to_binary_bytes());
+        let merged = TraceBundle::load(&bytes[..]).unwrap();
         assert_eq!(merged.meta.recovered_tasks, vec![TaskKey::new("t2")]);
         assert!(!merged.is_recovered(&TaskKey::new("t1")));
-    }
-
-    #[test]
-    fn pre_salvage_meta_line_still_parses() {
-        // A Meta line written before degraded_tasks existed must decode
-        // to an empty set.
-        let line = r#"{"Meta":{"workflow":"old","task_order":[],"page_size":4096}}"#;
-        let back = TraceBundle::read_jsonl(line.as_bytes()).unwrap();
-        assert!(back.meta.degraded_tasks.is_empty());
-        assert_eq!(back.meta.workflow, "old");
-    }
-
-    #[test]
-    fn origin_survives_jsonl_and_legacy_lines_default_to_none() {
-        let mut b = bundle();
-        b.meta.origin = Some(TraceOrigin {
-            workload: "ddmd".into(),
-            params: "default".into(),
-            tool_version: "0.1.0".into(),
-        });
-        let back = TraceBundle::read_jsonl(&b.to_jsonl_bytes()[..]).unwrap();
-        assert_eq!(back.meta.origin, b.meta.origin);
-
-        // A Meta line written before provenance existed decodes to None.
-        let line = r#"{"Meta":{"workflow":"old","task_order":[],"page_size":4096}}"#;
-        let old = TraceBundle::read_jsonl(line.as_bytes()).unwrap();
-        assert!(old.meta.origin.is_none());
-
-        // Concatenation: the first origin wins; a later origin fills a gap.
-        let mut bytes = line.as_bytes().to_vec();
-        bytes.push(b'\n');
-        bytes.extend(b.to_jsonl_bytes());
-        let merged = TraceBundle::read_jsonl(&bytes[..]).unwrap();
-        assert_eq!(merged.meta.origin, b.meta.origin);
-    }
-
-    #[test]
-    fn blank_lines_are_skipped() {
-        let b = bundle();
-        let mut bytes = b"\n\n".to_vec();
-        bytes.extend(b.to_jsonl_bytes());
-        bytes.extend(b"\n");
-        let back = TraceBundle::read_jsonl(&bytes[..]).unwrap();
-        assert_eq!(back, b);
-    }
-
-    #[test]
-    fn invalid_line_is_an_error() {
-        let err = TraceBundle::read_jsonl(&b"not json\n"[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     /// One line per record kind, pinned: `Meta` without and with an
@@ -817,7 +608,6 @@ mod tests {
             r#"{"File":{"task":"t1","file":"f.h5","lifetimes":[{"start":0,"end":5}],"stats":{"read_ops":0,"write_ops":1,"bytes_read":0,"bytes_written":128,"sequential_ops":0,"metadata_ops":0,"metadata_bytes":0,"max_address":128}}}"#.to_owned(),
         ];
         assert_eq!(text.lines().collect::<Vec<_>>(), want);
-        assert_eq!(TraceBundle::read_jsonl(text.as_bytes()).unwrap(), b);
 
         b.meta.stages = vec![vec![TaskKey::new("t1")]];
         b.meta.origin = Some(TraceOrigin {
@@ -830,54 +620,15 @@ mod tests {
             text.lines().next().unwrap(),
             r#"{"Meta":{"workflow":"wf","task_order":["t1"],"page_size":4096,"degraded_tasks":[],"recovered_tasks":[],"stages":[["t1"]],"origin":{"workload":"ddmd","params":"iterations=2","tool_version":"0.1.0"}}}"#
         );
-        assert_eq!(TraceBundle::read_jsonl(text.as_bytes()).unwrap(), b);
-    }
-
-    #[test]
-    fn jsonl_keys_come_in_any_order_and_unknown_keys_are_skipped() {
-        let line = r#" { "Vfd" : { "end": 2, "start": 1, "object": "/d", "access": "RawData",
-            "future": {"nested": [1, {"x": null}, "s\u0041"], "f": -1.5e3, "t": true},
-            "len": 128, "offset": 0, "kind": "Write", "file": "f\u002eh5", "task": "t1" } } "#;
-        let meta = r#"{"Meta":{"page_size":4096,"task_order":["t1"],"workflow":"wf","extra":0}}"#;
-        // One line: JSONL allows whitespace, but not a newline, in a line.
-        let text = format!("{meta}\n{}\n", line.replace('\n', " "));
-        let back = TraceBundle::read_jsonl(text.as_bytes()).unwrap();
-        assert_eq!(back.vfd, bundle().vfd);
-        assert_eq!(back.meta, bundle().meta);
-    }
-
-    #[test]
-    fn malformed_jsonl_is_invalid_data() {
-        let deep_arrays = format!(r#"{{"Meta":{{"x":{}"#, "[".repeat(100_000));
-        let deep_objects = format!(r#"{{"Meta":{{"x":{}"#, r#"{"k":"#.repeat(100_000));
-        for bad in [
-            "not json".to_owned(),
-            "[".repeat(100_000),
-            "{".repeat(100_000),
-            deep_arrays,
-            deep_objects,
-            r#"{"Meta":{"workflow":"\ud800","task_order":[],"page_size":1}}"#.to_owned(),
-            r#"{"Meta":{"workflow":"w","task_order":[],"page_size":18446744073709551616}}"#.to_owned(),
-            r#"{"Meta":{"workflow":"w","task_order":[],"page_size":-1}}"#.to_owned(),
-            r#"{"Meta":{"workflow":"w","task_order":[],"page_size":1.5}}"#.to_owned(),
-            r#"{"Meta":{1:2,"workflow":"w","task_order":[],"page_size":1}}"#.to_owned(),
-            r#"{"Meta":{"workflow":"w","task_order":[]}}"#.to_owned(),
-            r#"{"Meta":{"workflow":"w","task_order":[],"page_size":1}} x"#.to_owned(),
-            r#"{"Meta":{"workflow":"w","task_order":[],"page_size":1},"Vol":{}}"#.to_owned(),
-            r#"{"Trace":{}}"#.to_owned(),
-            r#""Meta""#.to_owned(),
-            r#"{"Vfd":{"task":"t","file":"f","kind":"Seek","offset":0,"len":0,"access":"RawData","object":"/","start":0,"end":0}}"#.to_owned(),
-            r#"{"Vol":{"task":"t","file":"f","object":"/","kind":"Dataset","lifetimes":[],"description":{"shape":[],"dtype":{"Int":{"width":256}},"logical_size":0,"layout":null,"chunk_shape":[]},"accesses":[]}}"#.to_owned(),
-        ] {
-            let err = TraceBundle::read_jsonl(bad.as_bytes()).expect_err(&bad[..bad.len().min(60)]);
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{:.60}", bad);
-        }
     }
 
     #[test]
     fn unsorted_degraded_set_is_normalized_on_read() {
-        let line = r#"{"Meta":{"workflow":"wf","task_order":[],"page_size":4096,"degraded_tasks":["zz","aa","zz"]}}"#;
-        let back = TraceBundle::read_jsonl(line.as_bytes()).unwrap();
+        // Older builds wrote the set as marked; `load` merges it into a
+        // sorted set without repeats.
+        let mut b = TraceBundle::new("wf");
+        b.meta.degraded_tasks = ["zz", "aa", "zz"].map(TaskKey::new).to_vec();
+        let back = TraceBundle::load(&b.to_binary_bytes()[..]).unwrap();
         assert_eq!(
             back.meta.degraded_tasks,
             vec![TaskKey::new("aa"), TaskKey::new("zz")]
@@ -887,10 +638,10 @@ mod tests {
     }
 
     #[test]
-    fn stages_survive_jsonl_and_merge() {
+    fn stages_survive_load_and_merge() {
         let mut a = bundle();
         a.meta.stages = vec![vec![TaskKey::new("t1")], vec![TaskKey::new("t2")]];
-        let back = TraceBundle::read_jsonl(&a.to_jsonl_bytes()[..]).unwrap();
+        let back = TraceBundle::load(&a.to_binary_bytes()[..]).unwrap();
         assert_eq!(back.meta.stages, a.meta.stages);
         assert_eq!(back.meta.stage_of(&TaskKey::new("t2")), Some(1));
 
@@ -904,7 +655,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_counts_records_in_both_formats() {
+    fn stream_counts_records() {
         struct Counter(u64);
         impl RecordSink for Counter {
             fn meta(&mut self, _: TraceMeta) -> io::Result<()> {
@@ -924,12 +675,11 @@ mod tests {
             }
         }
         let b = bundle();
-        for bytes in [b.to_jsonl_bytes(), b.to_binary_bytes()] {
-            let mut sink = Counter(0);
-            let n = TraceBundle::stream(&bytes[..], &mut sink).unwrap();
-            assert_eq!(n, 3);
-            assert_eq!(sink.0, 3);
-        }
+        let bytes = b.to_binary_bytes();
+        let mut sink = Counter(0);
+        let n = TraceBundle::stream(&bytes[..], &mut sink).unwrap();
+        assert_eq!(n, 3);
+        assert_eq!(sink.0, 3);
     }
 
     #[test]
@@ -937,8 +687,10 @@ mod tests {
         let mut b = bundle();
         b.mark_degraded(TaskKey::new("t1"));
         let bytes = b.to_binary_bytes();
-        let back = TraceBundle::read_binary(&bytes[..]).unwrap();
+        let back = TraceBundle::load(&bytes[..]).unwrap();
         assert_eq!(back, b);
+        // An empty stream is an empty bundle.
+        assert_eq!(TraceBundle::load(&b""[..]).unwrap(), TraceBundle::default());
     }
 
     #[test]
@@ -948,45 +700,9 @@ mod tests {
     }
 
     #[test]
-    fn concatenated_binary_sections_merge_on_read() {
-        let b1 = bundle();
-        let mut b2 = bundle();
-        b2.meta.task_order = vec![TaskKey::new("t2")];
-        b2.mark_degraded(TaskKey::new("t2"));
-        let mut bytes = b1.to_binary_bytes();
-        bytes.extend(b2.to_binary_bytes());
-        let back = TraceBundle::read_binary(&bytes[..]).unwrap();
-        assert_eq!(back.meta.workflow, "wf");
-        assert_eq!(
-            back.meta.task_order,
-            vec![TaskKey::new("t1"), TaskKey::new("t2")]
-        );
-        assert_eq!(back.meta.degraded_tasks, vec![TaskKey::new("t2")]);
-        assert_eq!(back.vol.len(), 2);
-        assert_eq!(back.vfd.len(), 2);
-        assert_eq!(back.files.len(), 2);
-    }
-
-    #[test]
-    fn load_auto_detects_both_formats() {
-        let b = bundle();
-        let from_jsonl = TraceBundle::load(&b.to_jsonl_bytes()[..]).unwrap();
-        let from_binary = TraceBundle::load(&b.to_binary_bytes()[..]).unwrap();
-        assert_eq!(from_jsonl, b);
-        assert_eq!(from_binary, b);
-        // Empty stream is an empty bundle in both readings.
-        assert_eq!(TraceBundle::load(&b""[..]).unwrap(), TraceBundle::default());
-    }
-
-    #[test]
-    fn format_parsing_and_detection() {
-        use std::str::FromStr;
-        assert_eq!(TraceFormat::from_str("jsonl"), Ok(TraceFormat::Jsonl));
-        assert_eq!(TraceFormat::from_str("binary"), Ok(TraceFormat::Binary));
-        assert_eq!(TraceFormat::from_str("dtb"), Ok(TraceFormat::Binary));
-        assert!(TraceFormat::from_str("csv").is_err());
-        assert_eq!(TraceFormat::detect(b'{'), TraceFormat::Jsonl);
-        assert_eq!(TraceFormat::detect(0x89), TraceFormat::Binary);
-        assert_eq!(TraceFormat::Binary.extension(), "dtb");
+    fn jsonl_is_refused() {
+        let err = TraceBundle::load(&bundle().to_jsonl_bytes()[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("not a DaYu binary trace"), "{err}");
     }
 }

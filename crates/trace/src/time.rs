@@ -12,8 +12,7 @@
 //! * [`ManualClock`] — an explicitly advanced virtual clock, used by the
 //!   discrete-event replay in `dayu-sim` and by deterministic tests.
 
-use crate::json::{self, FromJson, Reader, ToJson, Writer};
-use std::io;
+use crate::json::{ToJson, Writer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,12 +25,6 @@ pub struct Timestamp(pub u64);
 impl ToJson for Timestamp {
     fn write_json(&self, w: &mut Writer) {
         w.u64(self.0);
-    }
-}
-
-impl FromJson for Timestamp {
-    fn read_json(r: &mut Reader<'_>) -> io::Result<Self> {
-        r.u64().map(Timestamp)
     }
 }
 
@@ -115,12 +108,6 @@ impl ManualClock {
     pub fn advance(&self, nanos: u64) -> Timestamp {
         Timestamp(self.nanos.fetch_add(nanos, Ordering::Relaxed) + nanos)
     }
-
-    /// Jumps the clock forward to `t`. Times never move backwards: if `t` is
-    /// in the past the clock is left unchanged.
-    pub fn advance_to(&self, t: Timestamp) {
-        self.nanos.fetch_max(t.0, Ordering::Relaxed);
-    }
 }
 
 impl Clock for ManualClock {
@@ -139,7 +126,7 @@ pub struct Interval {
     pub end: Timestamp,
 }
 
-json::record!(Interval { start, end });
+crate::to_json!(Interval { start, end });
 
 impl Interval {
     /// An interval covering `[start, end]`.
@@ -181,11 +168,6 @@ mod tests {
         assert_eq!(c.now(), Timestamp::ZERO);
         assert_eq!(c.advance(5), Timestamp(5));
         assert_eq!(c.now(), Timestamp(5));
-        c.advance_to(Timestamp(100));
-        assert_eq!(c.now(), Timestamp(100));
-        // Never goes backwards.
-        c.advance_to(Timestamp(10));
-        assert_eq!(c.now(), Timestamp(100));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! | 7 | Data Object     | Map I/O operations to data object            |
 
 use crate::ids::{FileKey, ObjectKey, TaskKey};
-use crate::json;
 use crate::time::{Interval, Timestamp};
 
 /// The low-level operation performed (POSIX-equivalent verbs).
@@ -31,7 +30,7 @@ pub enum IoKind {
     Truncate,
 }
 
-json::record!(
+crate::to_json!(
     enum IoKind {
         Read,
         Write,
@@ -62,7 +61,7 @@ pub enum AccessType {
     RawData,
 }
 
-json::record!(
+crate::to_json!(
     enum AccessType {
         Metadata,
         RawData,
@@ -96,7 +95,7 @@ pub struct VfdRecord {
     pub end: Timestamp,
 }
 
-json::record!(VfdRecord {
+crate::to_json!(VfdRecord {
     task,
     file,
     kind,
@@ -112,16 +111,6 @@ impl VfdRecord {
     /// Duration of the operation in nanoseconds.
     pub fn duration(&self) -> u64 {
         self.end.since(self.start)
-    }
-
-    /// The half-open file address range `[offset, offset+len)` the op
-    /// touched. Empty for lifecycle ops.
-    pub fn address_range(&self) -> std::ops::Range<u64> {
-        if self.kind.moves_data() {
-            self.offset..self.offset + self.len
-        } else {
-            self.offset..self.offset
-        }
     }
 
     /// Achieved bandwidth in bytes/second, or `None` for instantaneous or
@@ -152,7 +141,7 @@ pub struct FileRecord {
     pub stats: FileStats,
 }
 
-json::record!(FileRecord {
+crate::to_json!(FileRecord {
     task,
     file,
     lifetimes,
@@ -184,18 +173,17 @@ pub struct FileStats {
     last_end: Option<u64>,
 }
 
-json::record!(
-    FileStats {
-        read_ops,
-        write_ops,
-        bytes_read,
-        bytes_written,
-        sequential_ops,
-        metadata_ops,
-        metadata_bytes,
-        max_address
-    }..Default::default()
-);
+crate::to_json!(FileStats {
+    read_ops,
+    write_ops,
+    bytes_read,
+    bytes_written,
+    sequential_ops,
+    metadata_ops,
+    metadata_bytes,
+    max_address,
+    ..
+});
 
 impl PartialEq for FileStats {
     fn eq(&self, other: &Self) -> bool {
@@ -258,16 +246,6 @@ impl FileStats {
             self.sequential_ops as f64 / t as f64
         }
     }
-
-    /// Mean bytes per data op.
-    pub fn mean_op_size(&self) -> f64 {
-        let t = self.total_ops();
-        if t == 0 {
-            0.0
-        } else {
-            self.total_bytes() as f64 / t as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -289,17 +267,15 @@ mod tests {
     }
 
     #[test]
-    fn record_duration_and_range() {
+    fn record_duration_and_bandwidth() {
         let r = op(IoKind::Write, 4096, 512);
         assert_eq!(r.duration(), 200);
-        assert_eq!(r.address_range(), 4096..4608);
         assert_eq!(r.bandwidth(), Some(512.0 / 200e-9));
     }
 
     #[test]
-    fn lifecycle_ops_have_empty_range_and_no_bandwidth() {
+    fn lifecycle_ops_have_no_bandwidth() {
         let r = op(IoKind::Open, 0, 0);
-        assert!(r.address_range().is_empty());
         assert_eq!(r.bandwidth(), None);
         assert!(!IoKind::Close.moves_data());
         assert!(IoKind::Read.moves_data());
@@ -320,7 +296,6 @@ mod tests {
         assert_eq!(s.metadata_bytes, 200);
         assert_eq!(s.sequential_ops, 2);
         assert_eq!(s.sequential_fraction(), 0.5);
-        assert_eq!(s.mean_op_size(), 250.0);
         assert_eq!(s.max_address, 500);
     }
 
@@ -333,14 +308,14 @@ mod tests {
         assert_eq!(s.total_ops(), 0);
         assert_eq!(s.total_bytes(), 0);
         assert_eq!(s.sequential_fraction(), 0.0);
-        assert_eq!(s.mean_op_size(), 0.0);
     }
 
     #[test]
-    fn serde_round_trip() {
+    fn json_is_pinned() {
         let r = op(IoKind::Read, 10, 20);
-        let text = json::to_string(&r);
-        let back: VfdRecord = json::from_str(&text).unwrap();
-        assert_eq!(back, r);
+        assert_eq!(
+            crate::json::to_string(&r),
+            r#"{"task":"t","file":"f","kind":"Read","offset":10,"len":20,"access":"RawData","object":"/d","start":100,"end":300}"#
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! Concatenated trace sections merge their metadata by one rule, whichever
-//! path joins them: `TraceBundle::load` of the concatenated `.dtb` or JSONL
+//! path joins them: `TraceBundle::load` of the concatenated `.dtb`
 //! sections, and a fold of `TraceBundle::merge`. Each case draws 1–4
 //! section metas whose task orders overlap, repeat a task (the first
 //! order included), name tasks no other meta names or are empty, whose
@@ -98,8 +98,6 @@ fn every_join_merges_meta_by_one_rule() {
 
         let dtb: Vec<u8> = sections.iter().flat_map(|s| s.to_binary_bytes()).collect();
         assert_eq!(TraceBundle::load(&dtb[..]).unwrap().meta, want, ".dtb");
-        let jsonl: Vec<u8> = sections.iter().flat_map(|s| s.to_jsonl_bytes()).collect();
-        assert_eq!(TraceBundle::load(&jsonl[..]).unwrap().meta, want, "JSONL");
 
         // The fold's accumulator holds its sets sorted, as every bundle
         // built by a read or by `mark_degraded`/`mark_recovered` does.

@@ -1,10 +1,9 @@
-//! Properties of the two trace encodings over arbitrary bundles. The
-//! `.dtb` section decoder gets a corruption sweep mirroring the `.drb`
+//! Properties of the `.dtb` encoding over arbitrary bundles. The
+//! section decoder gets a corruption sweep mirroring the `.drb`
 //! bundle_prop tests in `dayu-workflow`: arbitrary bundles round-trip,
 //! every truncation point fails with a structured offset-bearing error, and
 //! every single-byte flip either fails the same way or decodes to *some*
-//! valid bundle — never a panic, hang, or unbounded allocation. JSONL and
-//! binary decode the same bundles to the same value.
+//! valid bundle — never a panic, hang, or unbounded allocation.
 
 use dayu_trace::ids::{FileKey, ObjectKey, TaskKey};
 use dayu_trace::rng::{cases, ChaosRng};
@@ -115,13 +114,16 @@ fn arb_bundle(rng: &mut ChaosRng) -> TraceBundle {
     b
 }
 
-/// The decoder is a fixpoint of the encoder.
+/// The decoder, through `decode_section` and `load`, is a fixpoint of
+/// the encoder, whose bytes are never more than the JSONL export's.
 #[test]
 fn round_trip_fixpoint() {
     cases("round_trip_fixpoint", 64, |rng| {
         let b = arb_bundle(rng);
         let bytes = b.to_binary_bytes();
         assert_eq!(decode_section(&bytes).unwrap(), b);
+        assert_eq!(TraceBundle::load(&bytes[..]).unwrap(), b);
+        assert!(bytes.len() <= b.to_jsonl_bytes().len());
     });
 }
 
@@ -212,8 +214,8 @@ fn buffered_decoding_equals_careful_decoding() {
         let mut buffered = &bytes[..];
         let mut careful = OneByte(&bytes);
         let (a, b) = (
-            TraceBundle::read_binary(&mut buffered),
-            TraceBundle::read_binary(&mut careful),
+            TraceBundle::load(&mut buffered),
+            TraceBundle::load(&mut careful),
         );
         match (a, b) {
             (Ok(a), Ok(b)) => assert_eq!(a, b),
@@ -355,32 +357,5 @@ fn split_per_task_equals_per_task_filter() {
             r.task = pick(rng);
         }
         assert_eq!(b.split_per_task(), split_by_filter(&b));
-    });
-}
-
-/// Any bundle survives the JSONL encoding byte-exactly.
-#[test]
-fn jsonl_round_trip_arbitrary() {
-    cases("jsonl_round_trip_arbitrary", 48, |rng| {
-        let b = arb_bundle(rng);
-        let bytes = b.to_jsonl_bytes();
-        assert_eq!(TraceBundle::read_jsonl(&bytes[..]).unwrap(), b);
-    });
-}
-
-/// JSONL and binary encodings of an arbitrary bundle decode to identical
-/// bundles, via both the explicit readers and format-sniffing `load`. The
-/// binary form is also never larger.
-#[test]
-fn jsonl_and_binary_are_equivalent() {
-    cases("jsonl_and_binary_are_equivalent", 48, |rng| {
-        let b = arb_bundle(rng);
-        let jsonl = b.to_jsonl_bytes();
-        let binary = b.to_binary_bytes();
-        assert_eq!(TraceBundle::read_jsonl(&jsonl[..]).unwrap(), b);
-        assert_eq!(TraceBundle::read_binary(&binary[..]).unwrap(), b);
-        assert_eq!(TraceBundle::load(&jsonl[..]).unwrap(), b);
-        assert_eq!(TraceBundle::load(&binary[..]).unwrap(), b);
-        assert!(binary.len() <= jsonl.len());
     });
 }

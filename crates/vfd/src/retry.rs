@@ -4,7 +4,7 @@
 //! every layer that retries environmental failures: the workflow runner
 //! retrying a faulted task attempt (`dayu-workflow`), and the streaming
 //! ingest service retrying connections and throttled sends
-//! (`dayu-served`). Its jitter draws from [`ChaosRng`](crate::ChaosRng)
+//! (`dayu-served`). Its jitter draws from [`ChaosRng`]
 //! because it must be *deterministic*: reruns under the same seed pause for
 //! the same nanoseconds, which is what keeps chaos-matrix and replay tests
 //! byte-reproducible.

@@ -636,7 +636,7 @@ impl ReplayBundle {
                         return Err(BundleError::DuplicateSection("trace"));
                     }
                     trace = Some(
-                        TraceBundle::read_binary(Cursor::new(&s.payload[..]))
+                        TraceBundle::load(Cursor::new(&s.payload[..]))
                             .map_err(|e| map_section_err("trace", e))?,
                     );
                 }

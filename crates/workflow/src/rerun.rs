@@ -10,8 +10,9 @@
 //!    stack fails fast on the first operation that deviates from the
 //!    recording (kind, file, extent, access type);
 //! 2. **Outcomes** — attempts, success/degradation, fault counts and
-//!    recovered files must match the bundled [`TaskOutcome`]s, which is how
-//!    fault/crash firings and recovery behaviour are validated;
+//!    recovered files must match the bundled
+//!    [`TaskOutcome`](crate::TaskOutcome)s, which is how fault/crash
+//!    firings and recovery behaviour are validated;
 //! 3. **Images** — the final filesystem must be byte-identical to the
 //!    bundled final images.
 //!

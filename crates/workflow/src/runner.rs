@@ -724,8 +724,8 @@ mod tests {
             o.error
         );
         assert!(run.bundle.is_degraded(&TaskKey::new("writer")));
-        // The salvaged fragment is well-formed JSONL.
-        let back = TraceBundle::read_jsonl(&run.bundle.to_jsonl_bytes()[..]).unwrap();
+        // The salvaged fragment is a well-formed `.dtb` trace.
+        let back = TraceBundle::load(&run.bundle.to_binary_bytes()[..]).unwrap();
         assert_eq!(back, run.bundle);
     }
 

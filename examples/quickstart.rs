@@ -8,7 +8,7 @@
 //! library runs under the Data Semantic Mapper, the Workflow Analyzer
 //! builds the FTG and SDG (the Fig. 3-style single-producer graph), the
 //! detectors fire, and the advisor prints its recommendations. Artifacts
-//! (interactive HTML graphs, DOT, JSON, the raw JSONL trace) land in
+//! (interactive HTML graphs, DOT, JSON, the `.dtb` trace) land in
 //! `dayu_quickstart_out/`.
 
 use dayu::prelude::*;

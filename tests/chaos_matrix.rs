@@ -7,7 +7,7 @@
 //!   and a degraded bundle is flagged by the degraded-trace detector;
 //! * a degraded run's FTG is a *subset* of the clean run's (salvage never
 //!   invents dataflow);
-//! * every bundle, degraded or not, round-trips through JSONL;
+//! * every bundle, degraded or not, round-trips through `.dtb`;
 //! * a fixed chaos seed reproduces the run bit-for-bit.
 
 use dayu::prelude::*;
@@ -130,9 +130,9 @@ fn chaos_matrix_never_panics_and_degrades_to_subsets() {
                     edges.difference(&clean_edges).collect::<Vec<_>>()
                 );
 
-                // Degraded or not, the bundle round-trips through JSONL.
-                let bytes = run.bundle.to_jsonl_bytes();
-                assert_eq!(TraceBundle::read_jsonl(&bytes[..]).unwrap(), run.bundle);
+                // Degraded or not, the bundle round-trips through `.dtb`.
+                let bytes = run.bundle.to_binary_bytes();
+                assert_eq!(TraceBundle::load(&bytes[..]).unwrap(), run.bundle);
             }
         }
     }

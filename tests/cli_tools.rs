@@ -121,10 +121,8 @@ fn dayu_analyze_processes_a_trace() {
                 .collect()
         });
     let run = record(&spec, &fs).unwrap();
-    let trace_path = dir.join("trace.jsonl");
-    let mut f = std::fs::File::create(&trace_path).unwrap();
-    run.bundle.write_jsonl(&mut f).unwrap();
-    drop(f);
+    let trace_path = dir.join("trace.dtb");
+    std::fs::write(&trace_path, run.bundle.to_binary_bytes()).unwrap();
 
     let out_dir = dir.join("report");
     let out = Command::new(bin("dayu-analyze"))
@@ -262,10 +260,8 @@ fn dayu_analyze_check_passes_clean_trace_and_flags_planted_hazard() {
             })],
         );
     let run = record(&spec, &fs).unwrap();
-    let clean_path = dir.join("clean.jsonl");
-    let mut f = std::fs::File::create(&clean_path).unwrap();
-    run.bundle.write_jsonl(&mut f).unwrap();
-    drop(f);
+    let clean_path = dir.join("clean.dtb");
+    std::fs::write(&clean_path, run.bundle.to_binary_bytes()).unwrap();
     let out = Command::new(bin("dayu-analyze"))
         .args(["check"])
         .arg(&clean_path)
@@ -303,10 +299,8 @@ fn dayu_analyze_check_passes_clean_trace_and_flags_planted_hazard() {
             end: Timestamp(end),
         });
     }
-    let bad_path = dir.join("planted.jsonl");
-    let mut f = std::fs::File::create(&bad_path).unwrap();
-    bundle.write_jsonl(&mut f).unwrap();
-    drop(f);
+    let bad_path = dir.join("planted.dtb");
+    std::fs::write(&bad_path, bundle.to_binary_bytes()).unwrap();
     let out = Command::new(bin("dayu-analyze"))
         .args(["check"])
         .arg(&bad_path)
@@ -315,6 +309,69 @@ fn dayu_analyze_check_passes_clean_trace_and_flags_planted_hazard() {
     assert!(!out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("read-before-write"), "{text}");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// `dump` prints a `.dtb` trace as its JSONL export, byte for byte, and
+/// every subcommand that reads a trace refuses that export as input: the
+/// CLI reads `.dtb` only.
+#[test]
+fn dayu_analyze_dump_exports_jsonl_that_no_command_reads() {
+    use dayu_trace::{
+        AccessType, FileKey, IoKind, ObjectKey, TaskKey, Timestamp, TraceBundle, VfdRecord,
+    };
+    let dir = tmp_dir("dump");
+    let mut bundle = TraceBundle::new("dump_wf");
+    bundle.push_task(TaskKey::new("writer"));
+    bundle.vfd.push(VfdRecord {
+        task: TaskKey::new("writer"),
+        file: FileKey::new("out \"quoted\".h5"),
+        kind: IoKind::Write,
+        offset: 0,
+        len: 64,
+        access: AccessType::RawData,
+        object: ObjectKey::new("/d"),
+        start: Timestamp(1),
+        end: Timestamp(2),
+    });
+    let dtb = dir.join("trace.dtb");
+    std::fs::write(&dtb, bundle.to_binary_bytes()).unwrap();
+    let out = Command::new(bin("dayu-analyze"))
+        .arg("dump")
+        .arg(&dtb)
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(out.stdout, bundle.to_jsonl_bytes());
+
+    let jsonl = dir.join("trace.jsonl");
+    std::fs::write(&jsonl, bundle.to_jsonl_bytes()).unwrap();
+    let path = jsonl.to_str().unwrap();
+    for args in [
+        vec![path],
+        vec!["dump", path],
+        vec!["check", path],
+        vec!["predict", "ddmd", "--compare", path],
+        vec!["ingest", path, "--addr", "127.0.0.1:1"],
+    ] {
+        let out = Command::new(bin("dayu-analyze"))
+            .args(&args)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.contains(&format!(
+                "cannot parse {path}: not a DaYu binary trace (bad magic)"
+            )),
+            "{args:?}: {err}"
+        );
+    }
     std::fs::remove_dir_all(dir).unwrap();
 }
 
@@ -397,6 +454,7 @@ fn dayu_analyze_record_exit_codes_track_damage() {
 fn dayu_analyze_usage_errors_exit_2() {
     let cases: &[&[&str]] = &[
         &["trace.dtb", "--bogus"],
+        &["dump", "trace.dtb", "--bogus"],
         &["check", "trace.dtb", "--bogus"],
         &["predict", "ddmd", "--bogus"],
         &["record", "ddmd", "--bogus"],
@@ -417,6 +475,9 @@ fn dayu_analyze_usage_errors_exit_2() {
         &["record", "ddmd", "--crash-at", "40"],
         &["record", "ddmd", "--io-engine", "batched"],
         &["predict", "ddmd", "--io-engine", "scalar"],
+        &["record", "ddmd", "--format", "jsonl"],
+        &["trace.dtb", "--format", "binary"],
+        &["ingest", "trace.dtb", "--format", "binary"],
     ];
     for args in cases {
         let out = Command::new(bin("dayu-analyze"))

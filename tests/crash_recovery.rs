@@ -7,7 +7,7 @@
 //! * every committed dataset round-trips bit-for-bit after the run;
 //! * every surviving file image is fsck-clean;
 //! * a resumed-from-recovery task carries the `Recovered` marker in its
-//!   outcome and in the trace bundle, and the marker survives JSONL;
+//!   outcome and in the trace bundle, and the marker survives `.dtb`;
 //! * each workload shape exercises actual journal recovery at least once
 //!   across its sweep (the matrix is not vacuously green).
 
@@ -230,7 +230,7 @@ fn crash_matrix_recovers_committed_data_at_every_point() {
             }
 
             // Recovery markers are consistent across outcome, run and
-            // bundle, and survive a JSONL round-trip.
+            // bundle, and survive a `.dtb` round trip.
             let recovered: Vec<&str> = run
                 .outcomes
                 .iter()
@@ -247,12 +247,12 @@ fn crash_matrix_recovers_committed_data_at_every_point() {
                         ctx(&format!("{task} missing bundle marker"))
                     );
                 }
-                let back = TraceBundle::read_jsonl(&run.bundle.to_jsonl_bytes()[..]).unwrap();
+                let back = TraceBundle::load(&run.bundle.to_binary_bytes()[..]).unwrap();
                 assert_eq!(
                     back.meta.recovered_tasks,
                     run.bundle.meta.recovered_tasks,
                     "{}",
-                    ctx("markers lost in JSONL")
+                    ctx("markers lost in .dtb")
                 );
             } else {
                 assert!(!run.recovered(), "{}", ctx("phantom recovery marker"));

@@ -103,8 +103,8 @@ fn pyflextrkr_diagnosis_artifacts_round_trip() {
     let dir = std::env::temp_dir().join(format!("dayu-e2e-{}", std::process::id()));
     diagnosis.write_artifacts(&dir).unwrap();
     // The persisted trace re-analyzes to the same findings.
-    let text = std::fs::read(dir.join("trace.jsonl")).unwrap();
-    let bundle = TraceBundle::read_jsonl(&text[..]).unwrap();
+    let bytes = std::fs::read(dir.join("trace.dtb")).unwrap();
+    let bundle = TraceBundle::load(&bytes[..]).unwrap();
     let again = Analysis::run(&bundle);
     assert_eq!(again.findings, diagnosis.analysis.findings);
     std::fs::remove_dir_all(dir).unwrap();

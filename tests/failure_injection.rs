@@ -48,8 +48,8 @@ fn data_death_spares_metadata_creation() {
     assert!(inj.faults_injected() >= 1);
     // The failed op was never recorded; what was recorded round-trips.
     let bundle = mapper.into_bundle();
-    let bytes = bundle.to_jsonl_bytes();
-    assert_eq!(TraceBundle::read_jsonl(&bytes[..]).unwrap(), bundle);
+    let bytes = bundle.to_binary_bytes();
+    assert_eq!(TraceBundle::load(&bytes[..]).unwrap(), bundle);
 }
 
 #[test]
@@ -98,8 +98,8 @@ fn mid_write_fault_surfaces_and_trace_stays_consistent() {
             assert!(r.end >= r.start);
         }
     }
-    let bytes = bundle.to_jsonl_bytes();
-    let back = TraceBundle::read_jsonl(&bytes[..]).unwrap();
+    let bytes = bundle.to_binary_bytes();
+    let back = TraceBundle::load(&bytes[..]).unwrap();
     assert_eq!(back, bundle);
 }
 

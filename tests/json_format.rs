@@ -1,24 +1,17 @@
-//! The JSON the workspace writes and reads, held to the tracked files.
+//! The JSON the workspace writes, held to the tracked files.
 //!
 //! The figure exports under `figures_out/` and the `BENCH_*.json` reports
 //! were written before `dayu_trace::json` existed, by serde_json. Each
 //! file is read into a plain value tree and written back with the pretty
 //! writer, and must come back byte for byte; each graph export is also
 //! rebuilt as a [`Graph`] and must come back from [`export::to_json`] and
-//! [`export::to_html`]. Then the JSONL reader is fed every truncation of
-//! every line of a recorded `ddmd` trace and a seeded sample of byte
-//! flips: each gives a record or `InvalidData`, never a panic.
+//! [`export::to_html`]. The workspace reads no JSON, so the value tree
+//! comes from [`Parser`], a reader of these trusted files only.
 
 use dayu_analyzer::export;
 use dayu_analyzer::graph::{Edge, EdgeStats, Graph, GraphKind, Node, NodeKind, Operation};
-use dayu_core::workflow::{record_opts, RecordOptions};
-use dayu_core::workloads::ddmd;
-use dayu_trace::json::{self, Kind, Reader, ToJson, Writer};
-use dayu_trace::rng::ChaosRng;
+use dayu_trace::json::{self, ToJson, Writer};
 use dayu_trace::time::Timestamp;
-use dayu_trace::TraceBundle;
-use dayu_vfd::MemFs;
-use std::io;
 use std::path::{Path, PathBuf};
 
 /// Any JSON value. Numbers keep serde_json's split: digits only are an
@@ -34,45 +27,100 @@ enum Value {
     Object(Vec<(String, Value)>),
 }
 
-impl Value {
-    fn read(r: &mut Reader<'_>) -> io::Result<Value> {
-        Ok(match r.peek()? {
-            Kind::Null => {
-                r.null();
-                Value::Null
-            }
-            Kind::Bool => Value::Bool(r.bool()?),
-            Kind::Number => {
-                let n = r.number()?;
-                match n.parse::<u64>() {
-                    Ok(i) => Value::Int(i),
-                    Err(_) => Value::Float(n.parse().expect("a JSON number is an f64")),
-                }
-            }
-            Kind::String => Value::Str(r.string()?.into_owned()),
-            Kind::Array => {
-                let mut items = Vec::new();
-                r.array(|r| {
-                    items.push(Value::read(r)?);
-                    Ok(())
-                })?;
-                Value::Array(items)
-            }
-            Kind::Object => {
-                let mut entries = Vec::new();
-                r.object(|r, key| {
-                    entries.push((key.to_owned(), Value::read(r)?));
-                    Ok(())
-                })?;
-                Value::Object(entries)
-            }
-        })
+/// A recursive-descent reader of well-formed JSON. It reads only the
+/// tracked files, which are trusted, so malformed input may panic.
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl Parser<'_> {
+    /// Skips whitespace; the next byte, or 0 at the end.
+    fn peek(&mut self) -> u8 {
+        let bytes = self.text.as_bytes();
+        while bytes.get(self.pos).is_some_and(u8::is_ascii_whitespace) {
+            self.pos += 1;
+        }
+        bytes.get(self.pos).copied().unwrap_or(0)
     }
 
+    /// Consumes `b` if it comes next after whitespace.
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == b;
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// The items of an array or object up to `close`, each read by `item`.
+    fn items(&mut self, close: u8, mut item: impl FnMut(&mut Self)) {
+        self.pos += 1;
+        if !self.eat(close) {
+            loop {
+                item(self);
+                if self.eat(close) {
+                    break;
+                }
+                assert!(self.eat(b','), "`,` at byte {}", self.pos);
+            }
+        }
+    }
+
+    fn value(&mut self) -> Value {
+        match self.peek() {
+            b'{' => {
+                let mut entries = Vec::new();
+                self.items(b'}', |p| {
+                    let key = p.string();
+                    assert!(p.eat(b':'), "`:` at byte {}", p.pos);
+                    entries.push((key, p.value()));
+                });
+                Value::Object(entries)
+            }
+            b'[' => {
+                let mut items = Vec::new();
+                self.items(b']', |p| items.push(p.value()));
+                Value::Array(items)
+            }
+            b'"' => Value::Str(self.string()),
+            _ => {
+                let rest = &self.text[self.pos..];
+                let len = rest
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || "+-.".contains(c)))
+                    .unwrap_or(rest.len());
+                self.pos += len;
+                match &rest[..len] {
+                    "null" => Value::Null,
+                    "true" => Value::Bool(true),
+                    "false" => Value::Bool(false),
+                    n => match n.parse::<u64>() {
+                        Ok(i) => Value::Int(i),
+                        Err(_) => Value::Float(n.parse().expect("a JSON number")),
+                    },
+                }
+            }
+        }
+    }
+
+    /// A string. The tracked files hold no escapes, so none is read.
+    fn string(&mut self) -> String {
+        assert_eq!(self.peek(), b'"', "a string at byte {}", self.pos);
+        let rest = &self.text[self.pos + 1..];
+        let len = rest.find('"').expect("a terminated string");
+        assert!(
+            !rest[..len].contains('\\'),
+            "an escape at byte {}",
+            self.pos
+        );
+        self.pos += len + 2;
+        rest[..len].to_owned()
+    }
+}
+
+impl Value {
     fn parse(text: &str) -> Value {
-        let mut r = Reader::new(text);
-        let v = Value::read(&mut r).expect("valid JSON");
-        r.finish().expect("one value");
+        let mut p = Parser { text, pos: 0 };
+        let v = p.value();
+        assert_eq!(p.peek(), 0, "one value");
         v
     }
 
@@ -249,58 +297,4 @@ fn tracked_graphs_export_byte_for_byte() {
             html.display()
         );
     }
-}
-
-/// Whether `bytes` reads as a trace or fails as `InvalidData`; any other
-/// outcome (a panic included) fails the test.
-fn reads_or_rejects(bytes: &[u8]) -> bool {
-    match TraceBundle::read_jsonl(bytes) {
-        Ok(_) => true,
-        Err(e) => {
-            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
-            false
-        }
-    }
-}
-
-#[test]
-fn jsonl_reader_rejects_every_damaged_line_cleanly() {
-    let spec = ddmd::workflow(&ddmd::DdmdConfig {
-        iterations: 1,
-        ..Default::default()
-    });
-    let opts = RecordOptions {
-        manual_clock: true,
-        ..Default::default()
-    };
-    let bundle = record_opts(&spec, &MemFs::new(), &opts).unwrap().bundle;
-    let trace = bundle.to_jsonl_bytes();
-    assert_eq!(TraceBundle::read_jsonl(&trace[..]).unwrap(), bundle);
-    let lines: Vec<&[u8]> = trace
-        .split(|&b| b == b'\n')
-        .filter(|l| !l.is_empty())
-        .collect();
-    assert!(lines.len() > 500, "{} lines", lines.len());
-
-    // Every proper prefix of a line is cut inside its outer object.
-    let mut cuts = 0;
-    for line in &lines {
-        for cut in 1..line.len() {
-            assert!(!reads_or_rejects(&line[..cut]), "{:?}", &line[..cut]);
-            cuts += 1;
-        }
-        assert!(reads_or_rejects(line));
-    }
-    assert!(cuts > 100_000, "{cuts} truncations");
-
-    let mut rng = ChaosRng::new(0x15_0a_f1_1e);
-    let mut survivors = 0;
-    for _ in 0..20_000 {
-        let mut line = lines[rng.range(0, lines.len() as u64) as usize].to_vec();
-        let at = rng.range(0, line.len() as u64) as usize;
-        line[at] ^= 1 << rng.range(0, 8);
-        survivors += usize::from(reads_or_rejects(&line));
-    }
-    // A flipped digit still reads; a flipped bracket or key does not.
-    assert!(survivors > 0 && survivors < 20_000, "{survivors}");
 }
