@@ -282,7 +282,7 @@ pub fn run_detectors(
         });
     }
     detect_file_patterns(ftg, cfg, &mut out);
-    detect_scattering(bundle, sdg, cfg, &mut out);
+    detect_scattering(bundle, cfg, &mut out);
     detect_unused_datasets(bundle, sdg, &mut out);
     detect_independent_tasks(bundle, ftg, &mut out);
     detect_metadata_heavy(bundle, cfg, &mut out);
@@ -411,12 +411,7 @@ fn detect_file_patterns(ftg: &Graph, cfg: &DetectorConfig, out: &mut Vec<Finding
     }
 }
 
-fn detect_scattering(
-    bundle: &TraceBundle,
-    sdg: &Graph,
-    cfg: &DetectorConfig,
-    out: &mut Vec<Finding>,
-) {
+fn detect_scattering(bundle: &TraceBundle, cfg: &DetectorConfig, out: &mut Vec<Finding>) {
     // Per-dataset *logical* size: prefer the VOL description (the last
     // record that gives one); fall back to raw-data bytes written (traffic
     // volume would be inflated by metadata churn and re-reads, masking
@@ -439,7 +434,6 @@ fn detect_scattering(
             }
         }
     }
-    let _ = sdg;
     // Per file: count and total of its small datasets.
     let mut per_file: SymbolMap<FileKey, (usize, u64)> = SymbolMap::default();
     for ((file, object), &(size, _)) in &sizes {

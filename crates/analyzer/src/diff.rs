@@ -15,10 +15,12 @@
 use crate::build::{build_sdg, SdgOptions};
 use crate::detect::Finding;
 use crate::graph::{Graph, NodeKind, Operation};
+use dayu_trace::ids::TaskKey;
+use dayu_trace::intern::{SymbolMap, SymbolSet};
 use dayu_trace::store::TraceBundle;
 use dayu_trace::to_json;
 use dayu_trace::vfd::{AccessType, IoKind, VfdRecord};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
 /// One operation in a diffable form: everything a [`VfdRecord`] carries
@@ -185,93 +187,108 @@ impl BundleDiff {
 
 /// Diffs two recordings of (nominally) the same workload. Run A is the
 /// reference: task order and the causal SDG walk come from it.
+///
+/// One pass over each trace groups its VFD records by task; the streams
+/// then compare record by record on their interned keys, and only the
+/// first divergent pair becomes [`DiffEvent`]s.
 pub fn diff_traces(a: &TraceBundle, b: &TraceBundle) -> BundleDiff {
     let streams_a = per_task(a);
     let streams_b = per_task(b);
 
-    // Run A's task order first, then any tasks B alone recorded.
-    let mut order: Vec<String> = a
-        .meta
-        .task_order
-        .iter()
-        .map(|t| t.as_str().to_owned())
-        .collect();
-    for t in streams_a.keys() {
-        if !order.iter().any(|o| o == t) {
-            order.push(t.clone());
-        }
-    }
-    for t in b
-        .meta
-        .task_order
-        .iter()
-        .map(|t| t.as_str().to_owned())
-        .chain(streams_b.keys().cloned())
-    {
-        if !order.iter().any(|o| o == &t) {
+    // Run A's task order first, then the tasks only A's records name (by
+    // name), then B's task order, then the tasks only B's records name.
+    let mut order: Vec<&TaskKey> = a.meta.task_order.iter().collect();
+    let mut listed: SymbolSet<&TaskKey> = order.iter().copied().collect();
+    push_stragglers(&streams_a, &mut order, &mut listed);
+    for t in &b.meta.task_order {
+        if listed.insert(t) {
             order.push(t);
         }
     }
+    push_stragglers(&streams_b, &mut order, &mut listed);
 
-    let empty: Vec<DiffEvent> = Vec::new();
     let mut diff = BundleDiff {
         workload_a: a.meta.workflow.clone(),
         workload_b: b.meta.workflow.clone(),
         ..BundleDiff::default()
     };
-    for task in &order {
-        let sa = streams_a.get(task);
-        let sb = streams_b.get(task);
+    for task in order {
+        let (sa, sb) = (streams_a.get(task), streams_b.get(task));
         match (sa, sb) {
-            (Some(_), None) => diff.only_in_a.push(task.clone()),
-            (None, Some(_)) => diff.only_in_b.push(task.clone()),
-            (None, None) => continue,
+            (Some(_), None) => diff.only_in_a.push(task.as_str().to_owned()),
+            (None, Some(_)) => diff.only_in_b.push(task.as_str().to_owned()),
             _ => {}
         }
-        let sa = sa.unwrap_or(&empty);
-        let sb = sb.unwrap_or(&empty);
-        if let Some((index, ea, eb)) = first_mismatch(sa, sb) {
-            diff.diverged_tasks.push(task.clone());
-            if diff.first.is_none() {
-                let detail = describe(task, index, ea, eb);
-                diff.first = Some(FirstDivergence {
-                    task: task.clone(),
-                    event_index: index,
-                    a: ea.cloned(),
-                    b: eb.cloned(),
-                    detail,
-                    ancestors: causal_ancestors(a, task),
-                });
-            }
+        let (sa, sb) = (
+            sa.map_or(&[][..], Vec::as_slice),
+            sb.map_or(&[][..], Vec::as_slice),
+        );
+        let Some(index) = first_mismatch(sa, sb) else {
+            continue;
+        };
+        diff.diverged_tasks.push(task.as_str().to_owned());
+        if diff.first.is_none() {
+            let ea = sa.get(index).map(|r| DiffEvent::of(r));
+            let eb = sb.get(index).map(|r| DiffEvent::of(r));
+            diff.first = Some(FirstDivergence {
+                task: task.as_str().to_owned(),
+                event_index: index,
+                detail: describe(task.as_str(), index, ea.as_ref(), eb.as_ref()),
+                a: ea,
+                b: eb,
+                ancestors: causal_ancestors(a, task.as_str()),
+            });
         }
     }
     diff
 }
 
-/// Splits a trace into per-task event streams, preserving record order.
-fn per_task(bundle: &TraceBundle) -> BTreeMap<String, Vec<DiffEvent>> {
-    let mut out: BTreeMap<String, Vec<DiffEvent>> = BTreeMap::new();
+/// Splits a trace into per-task record streams, preserving record order;
+/// every task of the trace's task order has a stream, empty or not.
+fn per_task(bundle: &TraceBundle) -> SymbolMap<&TaskKey, Vec<&VfdRecord>> {
+    let mut out: SymbolMap<&TaskKey, Vec<&VfdRecord>> = SymbolMap::default();
     for t in &bundle.meta.task_order {
-        out.entry(t.as_str().to_owned()).or_default();
+        out.entry(t).or_default();
     }
     for r in &bundle.vfd {
-        out.entry(r.task.as_str().to_owned())
-            .or_default()
-            .push(DiffEvent::of(r));
+        out.entry(&r.task).or_default().push(r);
     }
     out
 }
 
-/// First index where the streams disagree, with both sides' events.
-fn first_mismatch<'a>(
-    a: &'a [DiffEvent],
-    b: &'a [DiffEvent],
-) -> Option<(usize, Option<&'a DiffEvent>, Option<&'a DiffEvent>)> {
-    let n = a.len().max(b.len());
-    (0..n).find_map(|i| match (a.get(i), b.get(i)) {
-        (Some(x), Some(y)) if x == y => None,
-        (x, y) => Some((i, x, y)),
-    })
+/// Appends, sorted by name, the tasks of `streams` not yet `listed`.
+fn push_stragglers<'a>(
+    streams: &SymbolMap<&'a TaskKey, Vec<&VfdRecord>>,
+    order: &mut Vec<&'a TaskKey>,
+    listed: &mut SymbolSet<&'a TaskKey>,
+) {
+    let mut rest: Vec<&TaskKey> = streams
+        .keys()
+        .copied()
+        .filter(|t| !listed.contains(t))
+        .collect();
+    rest.sort_unstable();
+    listed.extend(rest.iter().copied());
+    order.extend(rest);
+}
+
+/// Whether two records are the same operation, timestamps aside. The
+/// task is not compared: both come from one task's stream.
+fn same_op(x: &VfdRecord, y: &VfdRecord) -> bool {
+    x.file == y.file
+        && x.kind == y.kind
+        && x.offset == y.offset
+        && x.len == y.len
+        && x.access == y.access
+        && x.object == y.object
+}
+
+/// First index where the streams disagree, a stream's end included.
+fn first_mismatch(a: &[&VfdRecord], b: &[&VfdRecord]) -> Option<usize> {
+    let n = a.len().min(b.len());
+    (0..n)
+        .find(|&i| !same_op(a[i], b[i]))
+        .or((a.len() != b.len()).then_some(n))
 }
 
 fn describe(task: &str, index: usize, a: Option<&DiffEvent>, b: Option<&DiffEvent>) -> String {
@@ -346,12 +363,6 @@ fn visit(sdg: &Graph, id: usize, out: &mut CausalAncestors, seen: &mut HashSet<u
         }
         NodeKind::AddrRegion => {}
     }
-}
-
-/// Convenience for callers holding raw traces: diffs and converts to
-/// findings in one step (empty when the runs agree).
-pub fn divergence_findings(a: &TraceBundle, b: &TraceBundle) -> Vec<Finding> {
-    diff_traces(a, b).finding().into_iter().collect()
 }
 
 #[cfg(test)]
@@ -485,6 +496,29 @@ mod tests {
     }
 
     #[test]
+    fn every_compared_field_diverges() {
+        type Edit = fn(&mut VfdRecord);
+        let edits: [(&str, Edit); 6] = [
+            ("file", |r| r.file = FileKey::new("other.h5")),
+            ("kind", |r| r.kind = IoKind::Read),
+            ("offset", |r| r.offset += 1),
+            ("len", |r| r.len += 1),
+            ("access", |r| r.access = AccessType::Metadata),
+            ("object", |r| r.object = ObjectKey::new("/e")),
+        ];
+        let a = chain();
+        for (field, edit) in edits {
+            let mut b = chain();
+            edit(&mut b.vfd[0]);
+            let first = diff_traces(&a, &b).first.expect(field);
+            assert_eq!(first.task, "producer", "{field}");
+            assert_eq!(first.event_index, 0, "{field}");
+            assert_eq!(first.a, Some(DiffEvent::of(&a.vfd[0])), "{field}");
+            assert_eq!(first.b, Some(DiffEvent::of(&b.vfd[0])), "{field}");
+        }
+    }
+
+    #[test]
     fn first_divergence_is_earliest_in_task_order() {
         let a = chain();
         let mut b = chain();
@@ -574,7 +608,7 @@ mod tests {
         let a = chain();
         let mut b = chain();
         b.vfd[3].len = 7;
-        let f = divergence_findings(&a, &b);
+        let f: Vec<Finding> = diff_traces(&a, &b).finding().into_iter().collect();
         assert_eq!(f.len(), 1);
         match &f[0] {
             Finding::ReplayDivergence {

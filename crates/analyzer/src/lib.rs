@@ -29,9 +29,7 @@ pub mod resolution;
 
 pub use build::{build_ftg, build_sdg, SdgOptions};
 pub use detect::{run_detectors, DetectorConfig, Finding};
-pub use diff::{
-    diff_traces, divergence_findings, BundleDiff, CausalAncestors, DiffEvent, FirstDivergence,
-};
+pub use diff::{diff_traces, BundleDiff, CausalAncestors, DiffEvent, FirstDivergence};
 pub use graph::{Edge, EdgeStats, Graph, GraphKind, Node, NodeKind, Operation};
 pub use partial::PartialGraph;
 

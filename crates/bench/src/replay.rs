@@ -1,7 +1,7 @@
 //! Replay-bundle benchmark: **record → pack → verify → unpack → replay**.
 //!
-//! The replay engine earns its keep only if cross-checking a run costs
-//! little more than recording it: a failed CI job re-runs under validation
+//! The replay engine earns its keep only if checking a run costs little
+//! more than recording it: a failed CI job re-runs under validation
 //! by default, so the overhead must stay in the noise. This bench times,
 //! per workload:
 //!
@@ -182,8 +182,8 @@ fn bench_workload(
         ReplayBundle::from_bytes(&bytes).expect("fresh bundle parses")
     });
 
-    // Plain recording (no bundle, no validator) against validated replay
-    // (re-execution under the cross-checking driver stack), in pairs.
+    // Plain recording (no bundle) against validated replay (re-execution,
+    // then a diff of its trace against the recording), in pairs.
     let mut validated = true;
     let (record_ns, replay_ns) = min_over_pairs(
         cfg.repeats,
@@ -195,7 +195,7 @@ fn bench_workload(
         || {
             let fs = MemFs::new();
             let report = replay_bundle(&unpacked, spec, &fs).expect("replay");
-            validated &= report.op_checked && report.validated();
+            validated &= report.validated();
             report
         },
     );

@@ -30,7 +30,7 @@
 //!                                          # torn-write crash + journaled recovery resume
 //! dayu-analyze record ddmd --bundle run.drb    # + self-contained replay bundle
 //! dayu-analyze bundle verify run.drb       # hash-chain check, no re-execution
-//! dayu-analyze replay run.drb              # re-execute + cross-check op-by-op
+//! dayu-analyze replay run.drb              # re-execute + diff against the recording
 //! dayu-analyze diff a.drb b.drb [--json]   # first divergent event + SDG ancestors
 //! dayu-analyze serve --idle-shutdown-ms 60000   # streaming-ingest service (quarantine,
 //!                                          # budgets, live per-tenant FTG/SDG)
@@ -56,12 +56,12 @@
 //! On the failure exits (3/4) `record` automatically emits a replay
 //! bundle and prints the exact command line that reproduces the run —
 //! same seeds, schedule and durability — so the failure travels as one
-//! artifact. `replay` re-executes a bundle under a cross-checking driver
-//! stack (exit 0: validated, 5: diverged); `diff` compares two bundles
-//! and names the first divergent event plus its SDG causal ancestors
-//! (exit 0: identical, 1: diverged).
+//! artifact. `replay` re-executes a bundle and diffs its trace against the
+//! recording like `diff` does (exit 0: validated, 5: diverged); `diff`
+//! compares two bundles and names the first divergent event plus its SDG
+//! causal ancestors (exit 0: identical, 1: diverged).
 
-use dayu_analyzer::{export, resolution, Analysis, DetectorConfig, SdgOptions};
+use dayu_analyzer::{export, resolution, Analysis, BundleDiff, DetectorConfig, SdgOptions};
 use dayu_lint::{
     analyze_contracts, analyze_stream, check_conformance_stream, cost_model, fsck_bytes,
     repair_bytes, CostConfig, Finding, LintConfig, StaticPrediction,
@@ -638,9 +638,10 @@ fn bundle_main(args: Args) -> ! {
     }
 }
 
-/// `dayu-analyze replay`: re-executes a bundle's workload under the
-/// cross-checking driver stack and reports the verdict. Exit 0:
-/// validated; 5: diverged or mismatched; 1: bundle unreadable.
+/// `dayu-analyze replay`: re-executes a bundle's workload, diffs the
+/// replayed trace against the recording and reports the verdict. Exit 0:
+/// validated; 5: diverged or mismatched; 1: bundle unreadable, or a
+/// strict run's task failed.
 fn replay_main(args: Args) -> ! {
     let [path] = args.exactly();
     let path = PathBuf::from(path);
@@ -659,9 +660,6 @@ fn replay_main(args: Args) -> ! {
         eprintln!("replay failed: {e}");
         std::process::exit(1);
     });
-    if !report.op_checked {
-        println!("  (sampled recording: op-by-op checking disabled, outcomes/images only)");
-    }
     if report.validated() {
         println!(
             "replay validated: {} task(s), {} recorded op(s), zero divergences",
@@ -670,11 +668,12 @@ fn replay_main(args: Args) -> ! {
         );
         std::process::exit(0);
     }
-    if let Some(d) = &report.divergence {
-        println!("OP DIVERGENCE: {d}");
-    }
     for m in &report.mismatches {
         println!("MISMATCH: {m}");
+    }
+    if !report.diff.is_empty() {
+        println!("op streams diverge (run A: the recording, run B: the replay)");
+        print_diff(&report.diff);
     }
     std::process::exit(5);
 }
@@ -708,6 +707,13 @@ fn diff_main(mut args: Args) -> ! {
         println!("  operation streams identical (timestamps ignored)");
         std::process::exit(0);
     }
+    print_diff(&diff);
+    std::process::exit(1);
+}
+
+/// Prints a non-empty diff: the first divergent event with its causal SDG
+/// ancestors, the diverged and one-sided tasks, and the advisor's advice.
+fn print_diff(diff: &BundleDiff) {
     if let Some(first) = &diff.first {
         println!("first divergence: {}", first.detail);
         if !first.ancestors.is_empty() {
@@ -736,7 +742,6 @@ fn diff_main(mut args: Args) -> ! {
             println!("\n{}", dayu_advisor::report(&recs));
         }
     }
-    std::process::exit(1);
 }
 
 /// `dayu-analyze serve`: run the resilient streaming-ingest service.

@@ -81,9 +81,7 @@ pub mod prelude {
     pub use dayu_mapper::{Mapper, MapperConfig};
     pub use dayu_sim::{Cluster, Engine, FileLocation, Placement, SimOp, SimTask, TierKind};
     pub use dayu_trace::{SharedContext, TraceBundle};
-    pub use dayu_vfd::{
-        FaultInjector, FaultSchedule, MemFs, MemVfd, ReplayDivergence, ReplayValidator, Vfd,
-    };
+    pub use dayu_vfd::{FaultInjector, FaultSchedule, MemFs, MemVfd, Vfd};
     pub use dayu_workflow::{
         record, record_opts, record_to_bundle, replay_bundle, to_sim_tasks, BundleError,
         RecordOptions, ReplayBundle, ReplayReport, RetryPolicy, Schedule, TaskIo, TaskOutcome,

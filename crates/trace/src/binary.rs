@@ -771,9 +771,14 @@ fn careful_frame<R: BufRead, S: RecordSink>(
 /// than one record beyond the reader's buffer. Section meta frames
 /// (including v1 sections, which carry no stage lists) are delivered
 /// through [`RecordSink::meta`]; returns the number of data records
-/// delivered. A failure leaves the reader just past the bytes the careful
+/// delivered. An input that holds no section is `InvalidData`: every
+/// writer emits at least one, so an empty file is a lost trace, not an
+/// empty one. A failure leaves the reader just past the bytes the careful
 /// reader consumed before giving up, wherever the reader's buffer ended.
 pub fn stream_bundles<R: BufRead, S: RecordSink>(mut r: R, sink: &mut S) -> io::Result<u64> {
+    if r.fill_buf()?.is_empty() {
+        return Err(bad("not a DaYu binary trace (empty input)"));
+    }
     let mut records = 0u64;
     // Section boundary: clean EOF ends the stream. EOF is detected by
     // peeking, not by catching `read_exact`'s UnexpectedEof — that would
@@ -857,6 +862,37 @@ mod tests {
     fn bad_magic_rejected() {
         let err = TraceBundle::load(&b"{\"Meta\":{}}"[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn input_without_a_section_is_rejected() {
+        struct Refuse;
+        impl RecordSink for Refuse {
+            fn meta(&mut self, _: TraceMeta) -> io::Result<()> {
+                panic!("no section, no meta")
+            }
+            fn vol(&mut self, _: VolRecord) -> io::Result<()> {
+                panic!("no section, no record")
+            }
+            fn vfd(&mut self, _: VfdRecord) -> io::Result<()> {
+                panic!("no section, no record")
+            }
+            fn file(&mut self, _: FileRecord) -> io::Result<()> {
+                panic!("no section, no record")
+            }
+        }
+        let err = stream_bundles(&b""[..], &mut Refuse).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "not a DaYu binary trace (empty input)");
+        let err = TraceBundle::load(&b""[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // An empty bundle still writes a section, which loads.
+        let empty = TraceBundle::default().to_binary_bytes();
+        assert!(!empty.is_empty());
+        assert_eq!(
+            TraceBundle::load(&empty[..]).unwrap(),
+            TraceBundle::default()
+        );
     }
 
     #[test]

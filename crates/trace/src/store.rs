@@ -353,8 +353,8 @@ impl TraceBundle {
     }
 
     /// Reads a `.dtb` bundle. Concatenated sections merge: records append
-    /// and metas merge by [`TraceMeta::merge`]. An empty stream is an empty
-    /// bundle.
+    /// and metas merge by [`TraceMeta::merge`]. A stream with no section
+    /// is an error.
     pub fn load<R: BufRead>(r: R) -> io::Result<Self> {
         let mut sink = Collector::default();
         Self::stream(r, &mut sink)?;
@@ -689,8 +689,8 @@ mod tests {
         let bytes = b.to_binary_bytes();
         let back = TraceBundle::load(&bytes[..]).unwrap();
         assert_eq!(back, b);
-        // An empty stream is an empty bundle.
-        assert_eq!(TraceBundle::load(&b""[..]).unwrap(), TraceBundle::default());
+        // An empty stream holds no section: it is not a trace.
+        assert!(TraceBundle::load(&b""[..]).is_err());
     }
 
     #[test]

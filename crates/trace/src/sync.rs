@@ -9,8 +9,7 @@
 //! update.
 //!
 //! [`par_map`] maps independent items on scoped threads and keeps their
-//! order: a stage's tasks, the incremental graph builder's per-task
-//! partial graphs and h5bench's ranks all go through it.
+//! order: a stage's tasks and h5bench's ranks go through it.
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;

@@ -18,19 +18,21 @@
 //!   seeded [`FaultSchedule`] chaos engine;
 //! * [`CrashVfd`] — deterministic process-death simulation (torn writes,
 //!   write-back cache loss) for crash-consistency tests.
+//!
+//! No driver here checks a replay: a replayed run records a trace like any
+//! other, and `dayu_workflow::rerun` diffs that trace against the
+//! recording afterwards.
 
 pub mod crash;
 pub mod faulty;
 pub mod file;
 pub mod mem;
-pub mod replay;
 pub mod retry;
 
 pub use crash::{CrashController, CrashSchedule, CrashVfd};
 pub use faulty::{ChaosRng, FaultInjector, FaultSchedule, FaultyVfd};
 pub use file::FileVfd;
 pub use mem::{MemFs, MemVfd};
-pub use replay::{ReplayDivergence, ReplayEvent, ReplaySession, ReplayValidator, ReplayVfd};
 pub use retry::RetryPolicy;
 
 use dayu_trace::vfd::AccessType;

@@ -161,12 +161,6 @@ impl BundleManifest {
         }
     }
 
-    /// Whether the recorded trace has full per-op fidelity (every data op
-    /// recorded), the precondition for op-by-op replay validation.
-    pub fn full_fidelity(&self) -> bool {
-        self.options.mapper.trace_io && self.options.mapper.skip_ops == 0
-    }
-
     fn encode(&self) -> Vec<u8> {
         let opts = &self.options;
         let mut w = Vec::new();

@@ -1,90 +1,61 @@
-//! The replay engine: re-executes a bundled workload and cross-checks it.
+//! The replay engine: re-executes a bundled workload and checks it
+//! against the recording.
 //!
 //! [`replay_bundle`] rebuilds the recorded run's starting filesystem from
-//! the bundle's initial images, attaches a [`ReplayValidator`] holding the
-//! recorded per-task operation streams, and runs the workload again under
-//! the manifest's [`RecordOptions`] (same chaos/crash/retry/durability
-//! seeds, same clock mode). Three independent checks gate the verdict:
+//! the bundle's initial images and runs the workload again through
+//! [`record_opts`] under the manifest's [`RecordOptions`] (same
+//! chaos/crash/retry/durability seeds, same clock mode, same mapper
+//! sampling). Three independent checks gate the verdict:
 //!
-//! 1. **Op-by-op** — the [`dayu_vfd::ReplayVfd`] in every task's driver
-//!    stack fails fast on the first operation that deviates from the
-//!    recording (kind, file, extent, access type);
+//! 1. **Op streams** — [`diff_traces`] of the recording (run A) against
+//!    the replayed trace (run B) must be empty: every task's VFD records
+//!    agree on file, kind, extent, access type and object, timestamps
+//!    aside. A trace keeps only each task's final attempt, so this checks
+//!    the attempt the recording ended on;
 //! 2. **Outcomes** — attempts, success/degradation, fault counts and
 //!    recovered files must match the bundled
 //!    [`TaskOutcome`](crate::TaskOutcome)s, which is how fault/crash
-//!    firings and recovery behaviour are validated;
+//!    firings, retries beyond the recorded count and recovery behaviour
+//!    are validated;
 //! 3. **Images** — the final filesystem must be byte-identical to the
 //!    bundled final images.
 //!
-//! Op-by-op checking requires a full-fidelity recording (`trace_io` on,
-//! `skip_ops == 0`); bundles recorded with sampling still get checks 2–3.
+//! The replay always runs to its end: the diff names the first divergent
+//! task in the recording's task order, whichever parallel task reached its
+//! divergence first. A sampled recording (`skip_ops` above 0, or
+//! `trace_io` off) replays under the same sampling, so its streams compare
+//! like a full recording's.
 
 use crate::bundle::{BundleError, BundleManifest, ReplayBundle};
-use crate::runner::{record_opts, record_validated, RecordOptions, RecordedRun};
+use crate::runner::{record_opts, RecordOptions, RecordedRun};
 use crate::spec::WorkflowSpec;
+use dayu_analyzer::{diff_traces, BundleDiff};
 use dayu_trace::store::TraceOrigin;
-use dayu_vfd::{MemFs, ReplayDivergence, ReplayEvent, ReplayValidator};
+use dayu_vfd::MemFs;
 use std::collections::BTreeMap;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The verdict of one replay.
 #[derive(Debug)]
 pub struct ReplayReport {
     /// The re-executed run (trace, outcomes, stage layout).
     pub run: RecordedRun,
-    /// First operation-level divergence, if any.
-    pub divergence: Option<ReplayDivergence>,
+    /// The recording (run A) diffed against the replayed trace (run B).
+    pub diff: BundleDiff,
     /// Outcome- and image-level mismatches, human-readable.
     pub mismatches: Vec<String>,
-    /// Whether op-by-op validation was active (full-fidelity recording).
-    pub op_checked: bool,
 }
 
 impl ReplayReport {
-    /// Whether the replay matched the recording on every active check.
+    /// Whether the replay matched the recording on every check.
     pub fn validated(&self) -> bool {
-        self.divergence.is_none() && self.mismatches.is_empty()
+        self.diff.is_empty() && self.mismatches.is_empty()
     }
-}
-
-/// Builds the per-task expected streams from a recorded trace.
-fn validator_for(bundle: &ReplayBundle) -> Arc<ReplayValidator> {
-    let mut streams: HashMap<String, Vec<ReplayEvent>> = HashMap::new();
-    for r in &bundle.trace.vfd {
-        streams
-            .entry(r.task.as_str().to_owned())
-            .or_default()
-            .push(ReplayEvent {
-                file: r.file.as_str().to_owned(),
-                kind: r.kind,
-                offset: r.offset,
-                len: r.len,
-                access: r.access,
-            });
-    }
-    let validator = Arc::new(ReplayValidator::new());
-    // Tasks with no VFD records still need registration so an attempt
-    // count overrun is caught; default final attempt is 1.
-    for t in &bundle.trace.meta.task_order {
-        streams.entry(t.as_str().to_owned()).or_default();
-    }
-    for (task, events) in streams {
-        let final_attempt = bundle
-            .manifest
-            .outcomes
-            .iter()
-            .find(|o| o.task == task)
-            .map_or(1, |o| o.attempts);
-        validator.expect_task(&task, events, final_attempt);
-    }
-    validator
 }
 
 /// Re-executes the bundled workload over `fs` (which is cleared to the
-/// bundle's initial images first) and cross-checks it against the
-/// recording. `spec` must be the workload the bundle names — the bundle
-/// stores only the workload identity, not the task bodies.
+/// bundle's initial images first) and checks it against the recording.
+/// `spec` must be the workload the bundle names — the bundle stores only
+/// the workload identity, not the task bodies.
 pub fn replay_bundle(
     bundle: &ReplayBundle,
     spec: &WorkflowSpec,
@@ -102,22 +73,19 @@ pub fn replay_bundle(
     for (name, bytes) in &bundle.initial_images {
         fs.restore(name, bytes.clone());
     }
-    let op_checked = bundle.manifest.full_fidelity();
-    let validator = op_checked.then(|| validator_for(bundle));
-    let mut run = record_validated(spec, fs, &bundle.manifest.options, validator.as_ref())
+    let mut run = record_opts(spec, fs, &bundle.manifest.options)
         .map_err(|e| BundleError::ReplayFailed(e.to_string()))?;
     // The replayed trace has the same provenance as the recording it
     // reproduces — stamping it keeps byte-identical replays byte-identical.
     run.bundle.meta.origin = bundle.trace.meta.origin.clone();
-    let divergence = validator.as_ref().and_then(|v| v.divergence());
+    let diff = diff_traces(&bundle.trace, &run.bundle);
     let mut mismatches = Vec::new();
     compare_outcomes(&bundle.manifest, &run, &mut mismatches);
     compare_images(&bundle.final_images, fs, &mut mismatches);
     Ok(ReplayReport {
         run,
-        divergence,
+        diff,
         mismatches,
-        op_checked,
     })
 }
 
@@ -296,11 +264,10 @@ mod tests {
         assert_eq!(origin.params, "scale=test");
         let fs = MemFs::new();
         let report = replay_bundle(&bundle, &pc_spec(), &fs).unwrap();
-        assert!(report.op_checked);
         assert!(
             report.validated(),
-            "divergence={:?} mismatches={:?}",
-            report.divergence,
+            "diff={:?} mismatches={:?}",
+            report.diff,
             report.mismatches
         );
         assert_eq!(
@@ -330,8 +297,8 @@ mod tests {
         let report = replay_bundle(&bundle, &pc_spec(), &MemFs::new()).unwrap();
         assert!(
             report.validated(),
-            "divergence={:?} mismatches={:?}",
-            report.divergence,
+            "diff={:?} mismatches={:?}",
+            report.diff,
             report.mismatches
         );
     }
@@ -347,8 +314,8 @@ mod tests {
         let report = replay_bundle(&bundle, &pc_spec(), &MemFs::new()).unwrap();
         assert!(
             report.validated(),
-            "divergence={:?} mismatches={:?}",
-            report.divergence,
+            "diff={:?} mismatches={:?}",
+            report.diff,
             report.mismatches
         );
     }
@@ -398,11 +365,9 @@ mod tests {
         bundle.manifest.options.chaos = Some(FaultSchedule::new(5).with_dead_at(0));
         let report = replay_bundle(&bundle, &pc_spec(), &MemFs::new()).unwrap();
         assert!(!report.validated());
-        if let Some(d) = &report.divergence {
-            assert_eq!(d.task, "producer");
-        } else {
-            assert!(report.mismatches.iter().any(|m| m.contains("producer")));
-        }
+        let first = report.diff.first.as_ref().expect("op streams diverge");
+        assert_eq!(first.task, "producer");
+        assert!(report.mismatches.iter().any(|m| m.contains("producer")));
     }
 
     #[test]
@@ -435,5 +400,141 @@ mod tests {
             .mismatches
             .iter()
             .any(|m| m.contains("data.h5") && m.contains("differs")));
+    }
+
+    /// Position of `task`'s last VFD record in the bundled trace.
+    fn last_record_of(bundle: &ReplayBundle, task: &str) -> usize {
+        bundle
+            .trace
+            .vfd
+            .iter()
+            .rposition(|r| r.task.as_str() == task)
+            .expect("task recorded I/O")
+    }
+
+    /// Length of `task`'s VFD record stream in the bundled trace.
+    fn stream_len(bundle: &ReplayBundle, task: &str) -> usize {
+        bundle
+            .trace
+            .vfd
+            .iter()
+            .filter(|r| r.task.as_str() == task)
+            .count()
+    }
+
+    fn replay(bundle: &ReplayBundle) -> ReplayReport {
+        replay_bundle(bundle, &pc_spec(), &MemFs::new()).unwrap()
+    }
+
+    #[test]
+    fn replay_doing_one_op_more_than_recorded_diverges() {
+        // The bundled trace lacks the producer's last op; the replay still
+        // performs it.
+        let mut bundle = record_pc(&RecordOptions::default());
+        let dropped = bundle.trace.vfd.remove(last_record_of(&bundle, "producer"));
+        let report = replay(&bundle);
+        assert!(!report.validated());
+        // Outcomes and images still match: only the op streams tell.
+        assert!(report.mismatches.is_empty(), "{:?}", report.mismatches);
+        let first = report.diff.first.as_ref().expect("op streams diverge");
+        assert_eq!(first.task, "producer");
+        assert_eq!(first.event_index, stream_len(&bundle, "producer"));
+        assert_eq!(first.a, None);
+        let extra = first.b.as_ref().expect("the replay's extra op");
+        assert_eq!((extra.kind, extra.offset), (dropped.kind, dropped.offset));
+        assert!(
+            first.detail.contains("run A's stream ended"),
+            "{}",
+            first.detail
+        );
+        assert_eq!(report.diff.diverged_tasks, ["producer"]);
+    }
+
+    #[test]
+    fn replay_stopping_short_of_the_recording_diverges() {
+        // The bundled trace repeats the producer's last op; the replay
+        // performs it once.
+        let mut bundle = record_pc(&RecordOptions::default());
+        let at = last_record_of(&bundle, "producer");
+        let copy = bundle.trace.vfd[at].clone();
+        bundle.trace.vfd.insert(at + 1, copy);
+        let report = replay(&bundle);
+        assert!(!report.validated());
+        assert!(report.mismatches.is_empty(), "{:?}", report.mismatches);
+        let first = report.diff.first.as_ref().expect("op streams diverge");
+        assert_eq!(first.task, "producer");
+        assert_eq!(first.event_index, stream_len(&bundle, "producer") - 1);
+        assert!(first.a.is_some());
+        assert_eq!(first.b, None);
+        assert!(
+            first.detail.contains("run B's stream ended"),
+            "{}",
+            first.detail
+        );
+    }
+
+    #[test]
+    fn replay_needing_more_attempts_than_recorded_is_an_outcome_mismatch() {
+        // Recorded clean, one attempt per task. The doctored manifest adds
+        // a transient fault at the producer's first data op, so the replay
+        // retries where the recording did not.
+        let mut bundle = record_pc(&RecordOptions::default());
+        bundle.manifest.options.chaos = Some(FaultSchedule::new(5).with_transient_at(0));
+        bundle.manifest.options.retry = RetryPolicy::default().with_backoff(0, 0);
+        let report = replay(&bundle);
+        assert!(!report.validated());
+        // The final attempt does the recorded ops: only the outcome tells.
+        assert!(report.diff.is_empty(), "{:?}", report.diff);
+        assert_eq!(report.run.outcome_of("producer").unwrap().attempts, 2);
+        let want = "task \"producer\": 1 attempt(s) recorded, 2 replayed";
+        assert!(
+            report.mismatches.iter().any(|m| m == want),
+            "{:?}",
+            report.mismatches
+        );
+    }
+
+    #[test]
+    fn sampled_recording_validates_and_its_doctored_copy_diverges() {
+        let mut opts = RecordOptions::default();
+        opts.mapper.skip_ops = 2;
+        let bundle = record_pc(&opts);
+        let full = record_pc(&RecordOptions::default());
+        assert!(!bundle.trace.vfd.is_empty());
+        assert!(bundle.trace.vfd.len() < full.trace.vfd.len());
+        let report = replay(&bundle);
+        assert!(
+            report.validated(),
+            "diff={:?} mismatches={:?}",
+            report.diff,
+            report.mismatches
+        );
+
+        let mut doctored = bundle;
+        let at = last_record_of(&doctored, "consumer");
+        doctored.trace.vfd[at].offset += 1;
+        let report = replay(&doctored);
+        assert!(!report.validated());
+        assert!(report.mismatches.is_empty(), "{:?}", report.mismatches);
+        let first = report.diff.first.as_ref().expect("op streams diverge");
+        assert_eq!(first.task, "consumer");
+        let (a, b) = (first.a.as_ref().unwrap(), first.b.as_ref().unwrap());
+        assert_eq!(a.offset, b.offset + 1);
+    }
+
+    #[test]
+    fn every_divergent_task_is_named_and_task_order_picks_the_first() {
+        // Both tasks are doctored; the replay runs to its end, so the diff
+        // names both, and the producer leads because it comes first in the
+        // recording's task order.
+        let mut bundle = record_pc(&RecordOptions::default());
+        for task in ["consumer", "producer"] {
+            let at = last_record_of(&bundle, task);
+            bundle.trace.vfd[at].len += 1;
+        }
+        let report = replay(&bundle);
+        let first = report.diff.first.as_ref().expect("op streams diverge");
+        assert_eq!(first.task, "producer");
+        assert_eq!(report.diff.diverged_tasks, ["producer", "consumer"]);
     }
 }

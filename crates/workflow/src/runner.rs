@@ -23,10 +23,7 @@ use dayu_trace::ids::TaskKey;
 use dayu_trace::store::TraceBundle;
 use dayu_trace::sync::par_map;
 use dayu_trace::time::{Clock, ManualClock, RealClock};
-use dayu_vfd::{
-    CrashController, CrashSchedule, FaultInjector, FaultSchedule, MemFs, ReplaySession,
-    ReplayValidator,
-};
+use dayu_vfd::{CrashController, CrashSchedule, FaultInjector, FaultSchedule, MemFs};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -250,7 +247,6 @@ fn run_task(
     spec: &WorkflowSpec,
     fs: &MemFs,
     opts: &RecordOptions,
-    replay: Option<&Arc<ReplayValidator>>,
     clock: &Arc<dyn Clock>,
     t: &TaskSpec,
 ) -> TaskRun {
@@ -289,10 +285,6 @@ fn run_task(
         if let Some(c) = &crash {
             io = io.with_crash(c.clone());
         }
-        if let Some(v) = replay {
-            v.begin_attempt(&t.name, attempts);
-            io = io.with_replay(ReplaySession::new(v.clone(), t.name.as_str()));
-        }
         // Resume applies to *retry* attempts only: the first attempt of a
         // task creates its outputs from scratch like any clean run.
         io = io
@@ -307,9 +299,6 @@ fn run_task(
         }
         match result {
             Ok(()) => {
-                if let Some(v) = replay {
-                    v.finish_task(&t.name, true);
-                }
                 mapper.clear_task();
                 let mut bundle = mapper.into_bundle();
                 if !recovered_files.is_empty() {
@@ -349,9 +338,6 @@ fn run_task(
                     continue;
                 }
                 // Permanent failure: salvage what the last attempt traced.
-                if let Some(v) = replay {
-                    v.finish_task(&t.name, false);
-                }
                 let bundle = opts.salvage.then(|| {
                     let mut b = mapper.into_bundle();
                     b.mark_degraded(TaskKey::new(t.name.as_str()));
@@ -389,18 +375,6 @@ fn run_task(
 /// propagates the original error, several are folded into
 /// [`HdfError::MultiFailure`].
 pub fn record_opts(spec: &WorkflowSpec, fs: &MemFs, opts: &RecordOptions) -> Result<RecordedRun> {
-    record_validated(spec, fs, opts, None)
-}
-
-/// Records like [`record_opts`]. With a `replay` validator, every task's
-/// driver stack gains a [`dayu_vfd::ReplayVfd`] that cross-checks live
-/// operations against the recorded streams the validator holds.
-pub(crate) fn record_validated(
-    spec: &WorkflowSpec,
-    fs: &MemFs,
-    opts: &RecordOptions,
-    replay: Option<&Arc<ReplayValidator>>,
-) -> Result<RecordedRun> {
     spec.validate()?;
     // One clock for the whole run: per-task mappers must stamp events on a
     // common timeline or cross-task ordering (FTG layout, time-dependent
@@ -442,9 +416,7 @@ pub(crate) fn record_validated(
         // attribution under concurrency). `par_map` preserves input
         // order, so outcomes are deterministic regardless of thread
         // interleaving.
-        let results: Vec<TaskRun> = par_map(&stage.tasks, |t| {
-            run_task(spec, fs, opts, replay, &clock, t)
-        });
+        let results: Vec<TaskRun> = par_map(&stage.tasks, |t| run_task(spec, fs, opts, &clock, t));
 
         let mut errors: Vec<(String, HdfError)> = Vec::new();
         for run in results {

@@ -16,10 +16,7 @@ use dayu_hdf::{
 };
 use dayu_mapper::Mapper;
 use dayu_trace::sync::lock;
-use dayu_vfd::{
-    CrashController, CrashVfd, FaultInjector, FaultyVfd, MemFs, ReplaySession, ReplayVfd, Vfd,
-    VfdError,
-};
+use dayu_vfd::{CrashController, CrashVfd, FaultInjector, FaultyVfd, MemFs, Vfd, VfdError};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -51,7 +48,6 @@ pub struct TaskIo<'a> {
     crash: Option<CrashController>,
     durability: Durability,
     resume: bool,
-    replay: Option<ReplaySession>,
     recoveries: Mutex<Vec<(String, RecoveryReport)>>,
 }
 
@@ -67,7 +63,6 @@ impl<'a> TaskIo<'a> {
             crash: None,
             durability: Durability::default(),
             resume: false,
-            replay: None,
             recoveries: Mutex::new(Vec::new()),
         }
     }
@@ -103,28 +98,15 @@ impl<'a> TaskIo<'a> {
         self
     }
 
-    /// Attaches a replay session: every file is additionally wrapped in a
-    /// [`ReplayVfd`] that cross-checks successful operations against the
-    /// recorded stream the session's validator holds.
-    pub fn with_replay(mut self, session: ReplaySession) -> Self {
-        self.replay = Some(session);
-        self
-    }
-
     /// Stacks the injection layers under the profiler: memory file →
-    /// crash device → fault injector → replay validator → profiling
-    /// wrapper. The replay layer sits directly beneath the profiler so it
-    /// observes exactly the successful operations the recording holds.
-    fn stack<V: Vfd + 'static>(&self, vfd: V, name: &str) -> Box<dyn Vfd> {
+    /// crash device → fault injector → profiling wrapper.
+    fn stack<V: Vfd + 'static>(&self, vfd: V) -> Box<dyn Vfd> {
         let mut v: Box<dyn Vfd> = Box::new(vfd);
         if let Some(c) = &self.crash {
             v = Box::new(CrashVfd::with_controller(v, c.clone()));
         }
         if let Some(inj) = &self.faults {
             v = Box::new(FaultyVfd::with_injector(v, inj.clone()));
-        }
-        if let Some(sess) = &self.replay {
-            v = Box::new(ReplayVfd::new(v, sess.clone(), name));
         }
         v
     }
@@ -148,8 +130,7 @@ impl<'a> TaskIo<'a> {
             }
         }
         H5File::create(
-            self.mapper
-                .wrap_vfd(self.stack(self.fs.create(name), name), name),
+            self.mapper.wrap_vfd(self.stack(self.fs.create(name)), name),
             name,
             self.options(),
         )
@@ -164,7 +145,7 @@ impl<'a> TaskIo<'a> {
             .open_existing(name)
             .ok_or_else(|| HdfError::NotFound(name.to_owned()))?;
         let (file, report) = H5File::open_reporting(
-            self.mapper.wrap_vfd(self.stack(vfd, name), name),
+            self.mapper.wrap_vfd(self.stack(vfd), name),
             name,
             self.options(),
         )?;

@@ -375,6 +375,108 @@ fn dayu_analyze_dump_exports_jsonl_that_no_command_reads() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
+/// A zero-byte file holds no trace section: every command that reads a
+/// trace refuses it instead of reading an empty trace.
+#[test]
+fn dayu_analyze_refuses_an_empty_trace() {
+    let dir = tmp_dir("empty");
+    let empty = dir.join("empty.dtb");
+    std::fs::write(&empty, b"").unwrap();
+    let path = empty.to_str().unwrap();
+    for args in [
+        vec![path],
+        vec!["dump", path],
+        vec![
+            "check",
+            path,
+            "--deny",
+            "extent-race",
+            "--deny",
+            "use-after-close",
+        ],
+        vec!["predict", "ddmd", "--compare", path],
+        vec!["ingest", path, "--addr", "127.0.0.1:1"],
+    ] {
+        let out = Command::new(bin("dayu-analyze"))
+            .args(&args)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.contains(&format!(
+                "cannot parse {path}: not a DaYu binary trace (empty input)"
+            )),
+            "{args:?}: {err}"
+        );
+    }
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// `replay` of a bundle whose trace lost its last record: the replay does
+/// one op more than the recording, exits 5 and names the task with the
+/// text `diff` prints.
+#[test]
+fn dayu_analyze_replay_of_a_doctored_bundle_exits_5() {
+    let dir = tmp_dir("replay-doctored");
+    let drb = dir.join("run.drb");
+    let out = Command::new(bin("dayu-analyze"))
+        .args(["record", "ddmd", "--manual-clock", "--bundle"])
+        .arg(&drb)
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let replay = || {
+        let out = Command::new(bin("dayu-analyze"))
+            .arg("replay")
+            .arg(&drb)
+            .output()
+            .unwrap();
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+        )
+    };
+    let (code, text) = replay();
+    assert_eq!(code, Some(0), "{text}");
+    assert!(text.contains("replay validated"), "{text}");
+
+    let mut bundle = ReplayBundle::read_file(&drb).unwrap();
+    let dropped = bundle.trace.vfd.pop().expect("ddmd records I/O");
+    let task = dropped.task.as_str();
+    let index = bundle
+        .trace
+        .vfd
+        .iter()
+        .filter(|r| r.task == dropped.task)
+        .count();
+    bundle.write_file(&drb).unwrap();
+    let (code, text) = replay();
+    assert_eq!(code, Some(5), "{text}");
+    assert!(
+        text.contains("op streams diverge (run A: the recording, run B: the replay)"),
+        "{text}"
+    );
+    assert!(
+        text.contains(&format!(
+            "first divergence: task \"{task}\" event {index}: run A's stream ended"
+        )),
+        "{text}"
+    );
+    assert!(
+        text.contains(&format!("diverged tasks: {task}\n")),
+        "{text}"
+    );
+    assert!(!text.contains("MISMATCH"), "{text}");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 /// `dayu-analyze record` exit-code contract: 0 — clean run; 3 — degraded
 /// trace but every surviving image intact or repairable; 4 — at least one
 /// image is beyond recovery (no valid superblock slot).
