@@ -13,6 +13,17 @@
 //! to `build_ftg`/`build_sdg` over the union of the absorbed sections: it
 //! is the identical graph, node ids and all.
 //!
+//! A section is absorbed in one pass. [`PartialGraph::absorb_owned`]
+//! takes the decoded section by value and moves its records to their
+//! tasks; a record vector that names one task becomes that task's empty
+//! slot whole. The ingest service decodes each section only to absorb
+//! it, so nothing is copied. [`PartialGraph::absorb`] and
+//! [`PartialGraph::absorb_unique`] clone the section they borrow and
+//! delegate. Every [`TraceBundle::split_per_task`] section repeats the
+//! full meta; after the first, its order is a prefix of the merged one,
+//! which [`TraceMeta::merge`] leaves alone without hashing it, and only
+//! the tasks a merge appends become new task nodes.
+//!
 //! Two bundle-wide properties gate what a per-task partial looks like and
 //! therefore version the caches:
 //!
@@ -157,13 +168,20 @@ impl PartialGraph {
     }
 
     /// Absorbs one decoded section, merging its meta by
-    /// [`TraceMeta::merge`], as concatenated-trace reads do, and appending
-    /// its records per task. Each run of consecutive same-task records is
-    /// appended with one task lookup.
-    pub fn absorb(&mut self, section: &TraceBundle) {
-        self.absorb_meta(&section.meta);
-        self.retained += Self::section_bytes(section);
-        for r in &section.vfd {
+    /// [`TraceMeta::merge`], as concatenated-trace reads do, and moving
+    /// its records to their tasks. Each run of consecutive same-task
+    /// records is moved with one task lookup; a record vector that names
+    /// one task moves whole into that task's empty slot.
+    pub fn absorb_owned(&mut self, section: TraceBundle) {
+        self.retained += Self::section_bytes(&section);
+        let TraceBundle {
+            meta,
+            vol,
+            vfd,
+            files,
+        } = section;
+        self.absorb_meta(meta);
+        for r in &vfd {
             if r.kind.moves_data() {
                 let e = self.file_extent.entry(r.file.symbol()).or_default();
                 let end = r.offset.saturating_add(r.len);
@@ -179,29 +197,34 @@ impl PartialGraph {
             self.vfd_total += 1;
         }
         self.record_files
-            .extend(section.files.iter().map(|r| r.file.symbol()));
-        self.record_total += section.vfd.len() + section.vol.len() + section.files.len();
-        for run in section.vfd.chunk_by(|a, b| a.task == b.task) {
-            self.task_state(&run[0].task).vfd.extend_from_slice(run);
-        }
-        for run in section.vol.chunk_by(|a, b| a.task == b.task) {
-            self.task_state(&run[0].task).vol.extend_from_slice(run);
-        }
-        for run in section.files.chunk_by(|a, b| a.task == b.task) {
-            self.task_state(&run[0].task).files.extend_from_slice(run);
-        }
+            .extend(files.iter().map(|r| r.file.symbol()));
+        self.record_total += vfd.len() + vol.len() + files.len();
+        self.append(vfd, |r| &r.task, |s| &mut s.vfd);
+        self.append(vol, |r| &r.task, |s| &mut s.vol);
+        self.append(files, |r| &r.task, |s| &mut s.files);
+    }
+
+    /// [`Self::absorb_owned`] of a copy of `section`.
+    pub fn absorb(&mut self, section: &TraceBundle) {
+        self.absorb_owned(section.clone());
     }
 
     /// Absorbs the section unless an identical one (by content digest) was
     /// absorbed before; returns whether it was new. The digest is the
     /// wire-level SHA-256 of the encoded section, computed by the caller
     /// (the ingest service checks it against the frame header anyway).
-    pub fn absorb_unique(&mut self, digest: Digest, section: &TraceBundle) -> bool {
-        if !self.digests.insert(digest) {
-            return false;
+    pub fn absorb_unique_owned(&mut self, digest: Digest, section: TraceBundle) -> bool {
+        let new = self.digests.insert(digest);
+        if new {
+            self.absorb_owned(section);
         }
-        self.absorb(section);
-        true
+        new
+    }
+
+    /// [`Self::absorb_unique_owned`] of a copy of `section`, made only if
+    /// the section is new.
+    pub fn absorb_unique(&mut self, digest: Digest, section: &TraceBundle) -> bool {
+        !self.digests.contains(&digest) && self.absorb_unique_owned(digest, section.clone())
     }
 
     /// Reconstructs the merged bundle: full meta, records grouped by task
@@ -304,14 +327,53 @@ impl PartialGraph {
         state
     }
 
-    fn absorb_meta(&mut self, m: &TraceMeta) {
-        self.task_nodes
-            .extend(m.task_order.iter().map(TaskKey::symbol));
-        if !self.saw_meta {
-            self.meta.clone_from(m);
+    /// Moves `records` to their tasks' slots (`slot` picks the vector),
+    /// one task lookup per run of consecutive same-task records. When
+    /// every record names one task whose slot is empty, the vector itself
+    /// becomes the slot, shrunk to its length so that the slot holds no
+    /// more than a copy would.
+    fn append<R>(
+        &mut self,
+        mut records: Vec<R>,
+        task: fn(&R) -> &TaskKey,
+        slot: fn(&mut TaskState) -> &mut Vec<R>,
+    ) {
+        let Some(first) = records.first() else {
+            return;
+        };
+        if records.iter().all(|r| task(r) == task(first)) {
+            let t = task(first).clone();
+            let v = slot(self.task_state(&t));
+            if v.is_empty() {
+                records.shrink_to_fit();
+                *v = records;
+            } else {
+                v.extend(records);
+            }
+            return;
+        }
+        let mut records = records.into_iter().peekable();
+        while let Some(r) = records.next() {
+            let t = task(&r).clone();
+            let v = slot(self.task_state(&t));
+            v.push(r);
+            v.extend(std::iter::from_fn(|| records.next_if(|r| *task(r) == t)));
+        }
+    }
+
+    /// Merges a section's meta. Only the tasks the merge appends to the
+    /// order are new task nodes: the first meta's whole order, then what
+    /// each later one names that is not yet present.
+    fn absorb_meta(&mut self, m: TraceMeta) {
+        let known = self.meta.task_order.len();
+        if self.saw_meta {
+            self.meta.merge(&m);
+        } else {
+            self.meta = m.into_first();
             self.saw_meta = true;
         }
-        self.meta.merge(m);
+        self.task_nodes
+            .extend(self.meta.task_order[known..].iter().map(TaskKey::symbol));
     }
 }
 

@@ -272,3 +272,137 @@ fn absorbed_sections_merge_meta_by_one_rule() {
         assert_eq!(pg.to_bundle().meta, expected_meta(&metas));
     });
 }
+
+/// Cuts `s` in two sections that carry its meta, each record vector at a
+/// drawn point, so the task's records arrive in two sections.
+fn cut(rng: &mut ChaosRng, s: &TraceBundle) -> [TraceBundle; 2] {
+    fn split<T: Clone>(rng: &mut ChaosRng, v: &[T]) -> (Vec<T>, Vec<T>) {
+        let (a, b) = v.split_at(rng.range(0, v.len() as u64 + 1) as usize);
+        (a.to_vec(), b.to_vec())
+    }
+    let (vfd, vfd_rest) = split(rng, &s.vfd);
+    let (vol, vol_rest) = split(rng, &s.vol);
+    let (files, files_rest) = split(rng, &s.files);
+    [
+        TraceBundle {
+            meta: s.meta.clone(),
+            vfd,
+            vol,
+            files,
+        },
+        TraceBundle {
+            meta: s.meta.clone(),
+            vfd: vfd_rest,
+            vol: vol_rest,
+            files: files_rest,
+        },
+    ]
+}
+
+/// A section whose VFD, VOL and file records each run t1, t2, t1 (two
+/// distinct tasks), under `meta` with an order of t1, t2 and a task no
+/// record names.
+fn interleaved(rng: &mut ChaosRng, meta: &TraceMeta) -> TraceBundle {
+    let i = rng.range(0, TASKS.len() as u64) as usize;
+    let j = (i + 1 + rng.range(0, TASKS.len() as u64 - 1) as usize) % TASKS.len();
+    let (t1, t2) = (TaskKey::new(TASKS[i]), TaskKey::new(TASKS[j]));
+    let mut s = TraceBundle {
+        meta: TraceMeta {
+            task_order: vec![t1.clone(), t2.clone(), TaskKey::new("late")],
+            ..meta.clone()
+        },
+        ..Default::default()
+    };
+    for t in [&t1, &t2, &t1] {
+        for _ in 0..rng.range(1, 4) {
+            s.vfd.push(VfdRecord {
+                task: t.clone(),
+                ..arb_vfd(rng)
+            });
+            s.vol.push(VolRecord {
+                task: t.clone(),
+                ..arb_vol(rng)
+            });
+            s.files.push(FileRecord {
+                task: t.clone(),
+                ..arb_file(rng)
+            });
+        }
+    }
+    s
+}
+
+/// The snapshots (regions on and off), `to_bundle()` and counters of two
+/// partial graphs are the same.
+fn assert_same(a: &mut PartialGraph, b: &mut PartialGraph) {
+    assert_identical(&a.snapshot_ftg(), &b.snapshot_ftg());
+    for opts in [SdgOptions::default(), region_opts()] {
+        assert_identical(&a.snapshot_sdg(&opts), &b.snapshot_sdg(&opts));
+    }
+    assert_eq!(a.to_bundle(), b.to_bundle());
+    assert_eq!(a.records(), b.records());
+    assert_eq!(a.retained_bytes(), b.retained_bytes());
+    assert_eq!(a.ftg_node_count(), b.ftg_node_count());
+}
+
+/// Absorbing each section by value leaves the partial graph that
+/// absorbing it by reference leaves, after every section, and both equal
+/// the batch build of the distinct sections in arrival order. The
+/// arrivals are a bundle's per-task sections, some cut in two so that a
+/// task's records arrive in two sections, plus one section whose records
+/// interleave two tasks, in any permutation with duplicates.
+#[test]
+fn absorbing_by_value_equals_absorbing_by_reference() {
+    cases(
+        "absorbing_by_value_equals_absorbing_by_reference",
+        64,
+        |rng| {
+            let b = arb_bundle(rng);
+            let mut arrivals = Vec::new();
+            for s in b.split_per_task() {
+                if rng.chance(0.5) {
+                    arrivals.extend(cut(rng, &s));
+                } else {
+                    arrivals.push(s);
+                }
+            }
+            arrivals.push(interleaved(rng, &b.meta));
+            for _ in 0..rng.range(0, 4) {
+                let again = arrivals[rng.range(0, arrivals.len() as u64) as usize].clone();
+                arrivals.push(again);
+            }
+            for i in (1..arrivals.len()).rev() {
+                arrivals.swap(i, rng.range(0, i as u64 + 1) as usize);
+            }
+
+            let (mut by_ref, mut by_value) = (PartialGraph::new(), PartialGraph::new());
+            let mut seen = HashSet::new();
+            let mut distinct = Vec::new();
+            for s in &arrivals {
+                let bytes = s.to_binary_bytes();
+                let digest = sha256(&bytes);
+                if seen.insert(digest) {
+                    distinct.extend_from_slice(&bytes);
+                }
+                let new = by_ref.absorb_unique(digest, s);
+                assert_eq!(by_value.absorb_unique_owned(digest, s.clone()), new);
+                assert_eq!(by_value.records(), by_ref.records());
+                assert_eq!(by_value.retained_bytes(), by_ref.retained_bytes());
+                assert_eq!(by_value.ftg_node_count(), by_ref.ftg_node_count());
+                if rng.chance(0.3) {
+                    assert_same(&mut by_value, &mut by_ref);
+                }
+            }
+            assert_same(&mut by_value, &mut by_ref);
+            assert_counters(&mut by_value);
+
+            let batch = TraceBundle::load(&distinct[..]).unwrap();
+            let records = batch.vfd.len() + batch.vol.len() + batch.files.len();
+            assert_eq!(by_value.records(), records);
+            assert_identical(&by_value.snapshot_ftg(), &build_ftg(&batch));
+            for opts in [SdgOptions::default(), region_opts()] {
+                assert_identical(&by_value.snapshot_sdg(&opts), &build_sdg(&batch, &opts));
+            }
+        },
+    );
+}

@@ -328,13 +328,25 @@ pub fn min_over<R>(repeats: usize, f: impl FnMut() -> R) -> (u64, R) {
 /// Like [`min_over`], but runs `f` until the runs have also taken at
 /// least `total` together, so a fast call is timed many times.
 pub fn min_filling<R>(repeats: usize, total: Duration, mut f: impl FnMut() -> R) -> (u64, R) {
+    min_filling_from(repeats, total, || (), |()| f())
+}
+
+/// Like [`min_filling`], but each run times `f` on a fresh `setup()`,
+/// made outside the timed region.
+pub fn min_filling_from<S, R>(
+    repeats: usize,
+    total: Duration,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(S) -> R,
+) -> (u64, R) {
     let start = Instant::now();
     let mut runs = 0;
     let mut best_ns = u64::MAX;
     let mut best = None;
     while runs < repeats.max(1) || start.elapsed() < total {
+        let input = setup();
         let t0 = Instant::now();
-        let r = f();
+        let r = f(input);
         let ns = t0.elapsed().as_nanos() as u64;
         runs += 1;
         if ns < best_ns {

@@ -27,7 +27,7 @@
 //! cargo run --release -p dayu-bench -- pipeline [--smoke] [--check] [--out PATH]
 //! ```
 
-use crate::{min_filling, Report, Scale};
+use crate::{min_filling, min_filling_from, Report, Scale};
 use dayu_analyzer::{build_ftg, build_sdg, Analysis, PartialGraph, SdgOptions};
 use dayu_trace::TraceBundle;
 use dayu_vfd::MemFs;
@@ -266,7 +266,8 @@ pub struct LadderRung {
     /// Fastest `Analysis::run` over the reloaded bundle, nanoseconds.
     pub analysis_ns: u64,
     /// Fastest absorb of the reloaded bundle's `split_per_task` sections
-    /// into a fresh `PartialGraph`, nanoseconds.
+    /// into a fresh `PartialGraph`, by value as the ingest service absorbs
+    /// them, nanoseconds. Each run's copies are made before its timing.
     pub absorb_ns: u64,
     /// Peak resident set of the process after the analysis and before the
     /// absorb, MiB (`None` where the platform does not report it).
@@ -300,13 +301,18 @@ pub fn ddmd_ladder(iterations: &[usize]) -> Ladder {
             min_filling(LADDER_MIN_RUNS, LADDER_MIN_TIME, || Analysis::run(&bundle));
         let peak_rss_mb = peak_rss_mb();
         let sections = bundle.split_per_task();
-        let (absorb_ns, _) = min_filling(LADDER_MIN_RUNS, LADDER_MIN_TIME, || {
-            let mut pg = PartialGraph::new();
-            for s in &sections {
-                pg.absorb(s);
-            }
-            pg
-        });
+        let (absorb_ns, _) = min_filling_from(
+            LADDER_MIN_RUNS,
+            LADDER_MIN_TIME,
+            || sections.clone(),
+            |sections| {
+                let mut pg = PartialGraph::new();
+                for s in sections {
+                    pg.absorb_owned(s);
+                }
+                pg
+            },
+        );
         ladder.rungs.push(LadderRung {
             iterations: n,
             records: records(&bundle) as u64,

@@ -73,7 +73,7 @@ use dayu_workflow::{
     RECORD_FLAGS,
 };
 use dayu_workloads::{arldm, ddmd, pyflextrkr};
-use std::io::{BufReader, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -95,6 +95,50 @@ fn usage() -> ! {
 fn usage_error(reason: &str) -> ! {
     eprintln!("{reason}");
     std::process::exit(2);
+}
+
+/// Standard output of every subcommand. A reader that closes the pipe
+/// early (`dayu-analyze trace.dtb | head -1`) ends the output quietly:
+/// later writes are dropped, and the command runs on to the exit code its
+/// result decides. Any other write error prints `<command>: cannot
+/// write: <error>` and exits 1. `writeln!(out, ...)` writes a line.
+struct Out {
+    command: &'static str,
+    closed: bool,
+}
+
+impl Out {
+    fn new(command: &'static str) -> Self {
+        Self {
+            command,
+            closed: false,
+        }
+    }
+
+    /// Runs `write` on stdout, unless the pipe has closed.
+    fn write_with(&mut self, write: impl FnOnce(&mut io::StdoutLock<'static>) -> io::Result<()>) {
+        if self.closed {
+            return;
+        }
+        match write(&mut io::stdout().lock()) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
+            Err(e) => {
+                eprintln!("{}: cannot write: {e}", self.command);
+                std::process::exit(1);
+            }
+        }
+    }
+
+    fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) {
+        self.write_with(|w| w.write_fmt(args));
+    }
+
+    /// Flushes stdout and exits with `code`.
+    fn exit(mut self, code: i32) -> ! {
+        self.write_with(|w| w.flush());
+        std::process::exit(code)
+    }
 }
 
 /// A subcommand's arguments, read front to back: [`Args::flag`] yields the
@@ -153,12 +197,12 @@ impl Args {
 /// The run-shaping flags go through the [`RecordOptions`] codec, which
 /// also renders the bundle's params and the reproduction command.
 fn record_main(mut args: Args) -> ! {
-    let mut out: Option<PathBuf> = None;
+    let mut out_dir: Option<PathBuf> = None;
     let mut bundle_path: Option<PathBuf> = None;
     let mut run_flags: Vec<String> = Vec::new();
     while let Some(flag) = args.flag() {
         match flag.as_str() {
-            "--out" => out = Some(args.value()),
+            "--out" => out_dir = Some(args.value()),
             "--bundle" => bundle_path = Some(args.value()),
             _ => {
                 let Some(&(_, valued)) = RECORD_FLAGS.iter().find(|(f, _)| *f == flag) else {
@@ -196,25 +240,30 @@ fn record_main(mut args: Args) -> ! {
             std::process::exit(1);
         });
 
-    println!("workload {workload}: {} task(s)", run.outcomes.len());
+    let mut out = Out::new("record");
+    writeln!(out, "workload {workload}: {} task(s)", run.outcomes.len());
     if let Some(c) = &opts.chaos {
-        println!(
+        writeln!(
+            out,
             "  chaos seed {:#018x}, retries {}, fault rate {}",
             c.seed, opts.retry.max_attempts, c.read_fault_prob
         );
     }
     if let Some(c) = &opts.crash {
-        println!(
+        writeln!(
+            out,
             "  crash seed {:#018x} (torn writes), durability {:?}, resume {}",
             c.seed, opts.durability, opts.resume
         );
     }
-    println!(
+    writeln!(
+        out,
         "  {:<24} {:>8} {:>7} {:>9} {:>9}  error",
         "task", "attempts", "faults", "degraded", "recovered"
     );
     for o in &run.outcomes {
-        println!(
+        writeln!(
+            out,
             "  {:<24} {:>8} {:>7} {:>9} {:>9}  {}",
             o.task,
             o.attempts,
@@ -248,18 +297,22 @@ fn record_main(mut args: Args) -> ! {
         }
     }
     if !repairable.is_empty() || !unrecoverable.is_empty() {
-        println!("\nfile image audit:");
+        writeln!(out, "\nfile image audit:");
         for name in &repairable {
-            println!("  {name}: corrupt, repairable (dayu-h5ls --fsck --repair)");
+            writeln!(
+                out,
+                "  {name}: corrupt, repairable (dayu-h5ls --fsck --repair)"
+            );
         }
         for name in &unrecoverable {
-            println!("  {name}: UNRECOVERABLE (no valid superblock slot)");
+            writeln!(out, "  {name}: UNRECOVERABLE (no valid superblock slot)");
         }
     }
 
     let analysis = Analysis::run(&run.bundle);
     let recommendations = dayu_advisor::advise(&analysis.findings);
-    println!(
+    writeln!(
+        out,
         "\nFTG: {} nodes / {} edges;  SDG: {} nodes / {} edges;  findings: {}",
         analysis.ftg.nodes.len(),
         analysis.ftg.edges.len(),
@@ -267,9 +320,9 @@ fn record_main(mut args: Args) -> ! {
         analysis.sdg.edges.len(),
         analysis.findings.len()
     );
-    println!("\n{}", dayu_advisor::report(&recommendations));
+    writeln!(out, "\n{}", dayu_advisor::report(&recommendations));
 
-    if let Some(dir) = &out {
+    if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).expect("create out dir");
         let f = std::fs::File::create(dir.join("trace.dtb")).expect("create trace file");
         run.bundle.write_binary(f).expect("write trace file");
@@ -283,7 +336,7 @@ fn record_main(mut args: Args) -> ! {
                 std::fs::write(dir.join(name.replace('/', "_")), bytes).expect("dump image");
             }
         }
-        println!("trace and file images written to {}/", dir.display());
+        writeln!(out, "trace and file images written to {}/", dir.display());
     }
 
     let code = if !unrecoverable.is_empty() {
@@ -297,7 +350,7 @@ fn record_main(mut args: Args) -> ! {
     // A failure exit always leaves a bundle behind: the degraded or
     // corrupt run travels as one self-contained, replayable artifact.
     let emit_path = bundle_path.or_else(|| {
-        (code != 0).then(|| match &out {
+        (code != 0).then(|| match &out_dir {
             Some(dir) => dir.join("failure.drb"),
             None => PathBuf::from(format!("{workload}-failure.drb")),
         })
@@ -307,18 +360,19 @@ fn record_main(mut args: Args) -> ! {
             eprintln!("cannot write bundle {}: {e}", path.display());
             std::process::exit(1);
         });
-        println!("\nreplay bundle written to {}", path.display());
+        writeln!(out, "\nreplay bundle written to {}", path.display());
         if code != 0 {
             let sep = if flags.is_empty() { "" } else { " " };
-            println!(
+            writeln!(
+                out,
                 "reproduce with:\n  dayu-analyze record {workload}{sep}{flags} --bundle {}",
                 path.display()
             );
-            println!("  dayu-analyze replay {}", path.display());
+            writeln!(out, "  dayu-analyze replay {}", path.display());
         }
     }
 
-    std::process::exit(code);
+    out.exit(code);
 }
 
 /// Builds a bundled workload's spec, contracts included. The same specs
@@ -353,12 +407,13 @@ fn load_bundle(input: &PathBuf) -> TraceBundle {
 fn dump_main(args: Args) -> ! {
     let [input] = args.exactly();
     let bundle = load_bundle(&PathBuf::from(input));
-    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
-    if let Err(e) = bundle.write_jsonl(&mut out).and_then(|()| out.flush()) {
-        eprintln!("dump: cannot write: {e}");
-        std::process::exit(1);
-    }
-    std::process::exit(0);
+    let mut out = Out::new("dump");
+    out.write_with(|w| {
+        let mut w = BufWriter::new(w);
+        bundle.write_jsonl(&mut w)?;
+        w.flush()
+    });
+    out.exit(0);
 }
 
 /// A `--deny` value: a finding class `dayu-lint` knows.
@@ -461,21 +516,23 @@ fn check_main(mut args: Args) -> ! {
         (None, Some(w)) => format!("contracts:{w} (static only)"),
         (None, None) => unreachable!(),
     };
+    let mut out = Out::new("check");
     if json {
-        println!("{}", report.to_json());
+        writeln!(out, "{}", report.to_json());
     } else if report.is_clean() {
-        println!("{source}: no findings ({records} records checked)");
+        writeln!(out, "{source}: no findings ({records} records checked)");
     } else {
-        println!(
+        writeln!(
+            out,
             "{source}: {} finding(s), {} denied",
             report.len(),
             denied.len()
         );
         for f in &report.findings {
-            println!("  [{}] {f}", f.category());
+            writeln!(out, "  [{}] {f}", f.category());
         }
     }
-    std::process::exit(if denied.is_empty() { 0 } else { 1 });
+    out.exit(if denied.is_empty() { 0 } else { 1 });
 }
 
 /// `dayu-analyze predict`: static dataflow prediction — abstract
@@ -514,8 +571,10 @@ fn predict_main(mut args: Args) -> ! {
         pred.compare(&analysis.sdg)
     });
 
+    let mut out = Out::new("predict");
     if json {
-        println!(
+        writeln!(
+            out,
             "{}",
             dayu_lint::prediction_json(
                 &workload,
@@ -527,13 +586,15 @@ fn predict_main(mut args: Args) -> ! {
         );
     } else {
         let contracted = pred.tasks.iter().filter(|t| t.contracted).count();
-        println!(
+        writeln!(
+            out,
             "workflow {workload}: {} task(s) over {} stage(s); contracts cover {contracted}/{}",
             pred.tasks.len(),
             pred.stage_names.len(),
             pred.tasks.len()
         );
-        println!(
+        writeln!(
+            out,
             "sSDG: {} nodes / {} edges;  sFTG: {} nodes / {} edges;  flows: {};  live ranges: {}",
             pred.sdg.nodes.len(),
             pred.sdg.edges.len(),
@@ -542,16 +603,19 @@ fn predict_main(mut args: Args) -> ! {
             pred.flows.len(),
             pred.live_ranges.len()
         );
-        println!(
+        writeln!(
+            out,
             "\npredicted cost ({} B requests, {} B cache):",
             cost_cfg.request_bytes, cost_cfg.cache_bytes
         );
-        println!(
+        writeln!(
+            out,
             "  {:<20} {:>5} {:>12} {:>12} {:>7} {:>12}  heaviest task",
             "stage", "tasks", "read B", "written B", "ops", "working set"
         );
         for s in &costs.stages {
-            println!(
+            writeln!(
+                out,
                 "  {:<20} {:>5} {:>12} {:>12} {:>7} {:>12}{} {} ({} B)",
                 s.stage,
                 s.tasks,
@@ -564,17 +628,20 @@ fn predict_main(mut args: Args) -> ! {
                 s.critical_bytes
             );
         }
-        println!(
+        writeln!(
+            out,
             "  total: {} B moved in {} predicted op(s)",
             costs.total_bytes, costs.total_ops
         );
-        println!(
+        writeln!(
+            out,
             "critical path ({} B): {}",
             costs.critical_path_bytes,
             costs.critical_path.join(" -> ")
         );
         if let (Some(c), Some(path)) = (&comparison, &compare) {
-            println!(
+            writeln!(
+                out,
                 "\ncompare vs {}: {} matched, {} missing, {} extra, {} mismatched \
                  (precision {:.2}, recall {:.2})",
                 path.display(),
@@ -586,10 +653,13 @@ fn predict_main(mut args: Args) -> ! {
                 c.recall()
             );
             for f in &c.report.findings {
-                println!("  [{}] {f}", f.category());
+                writeln!(out, "  [{}] {f}", f.category());
             }
             if c.is_sound() {
-                println!("  prediction sound: every recorded raw-data edge was predicted");
+                writeln!(
+                    out,
+                    "  prediction sound: every recorded raw-data edge was predicted"
+                );
             }
         }
     }
@@ -597,7 +667,7 @@ fn predict_main(mut args: Args) -> ! {
     let denied = comparison
         .map(|c| c.report.denied(&deny).len())
         .unwrap_or(0);
-    std::process::exit(if denied == 0 { 0 } else { 1 });
+    out.exit(if denied == 0 { 0 } else { 1 });
 }
 
 /// Loads a replay bundle, turning every failure mode — missing file,
@@ -619,17 +689,19 @@ fn bundle_main(args: Args) -> ! {
         usage();
     }
     let path = PathBuf::from(path);
+    let mut out = Out::new("bundle");
     match ReplayBundle::verify_file(&path) {
         Ok(report) => {
-            println!("{}: bundle intact", path.display());
+            writeln!(out, "{}: bundle intact", path.display());
             for s in &report.sections {
-                println!(
+                writeln!(
+                    out,
                     "  {:<24} {:>10} bytes  sha256:{}",
                     s.name, s.bytes, s.digest
                 );
             }
-            println!("  chain: {}", report.chain);
-            std::process::exit(0);
+            writeln!(out, "  chain: {}", report.chain);
+            out.exit(0);
         }
         Err(e) => {
             eprintln!("{}: bundle verification failed: {e}", path.display());
@@ -647,7 +719,9 @@ fn replay_main(args: Args) -> ! {
     let path = PathBuf::from(path);
     let bundle = load_drb(&path);
     let m = &bundle.manifest;
-    println!(
+    let mut out = Out::new("replay");
+    writeln!(
+        out,
         "replaying {} (workload {}, params {:?}, recorded by v{})",
         path.display(),
         m.workload,
@@ -661,21 +735,25 @@ fn replay_main(args: Args) -> ! {
         std::process::exit(1);
     });
     if report.validated() {
-        println!(
+        writeln!(
+            out,
             "replay validated: {} task(s), {} recorded op(s), zero divergences",
             report.run.outcomes.len(),
             bundle.trace.vfd.len()
         );
-        std::process::exit(0);
+        out.exit(0);
     }
     for m in &report.mismatches {
-        println!("MISMATCH: {m}");
+        writeln!(out, "MISMATCH: {m}");
     }
     if !report.diff.is_empty() {
-        println!("op streams diverge (run A: the recording, run B: the replay)");
-        print_diff(&report.diff);
+        writeln!(
+            out,
+            "op streams diverge (run A: the recording, run B: the replay)"
+        );
+        print_diff(&mut out, &report.diff);
     }
-    std::process::exit(5);
+    out.exit(5);
 }
 
 /// `dayu-analyze diff`: compares two bundles' recorded operation streams
@@ -692,11 +770,13 @@ fn diff_main(mut args: Args) -> ! {
     let [pa, pb] = args.exactly().map(PathBuf::from);
     let (a, b) = (load_drb(&pa), load_drb(&pb));
     let diff = dayu_analyzer::diff_traces(&a.trace, &b.trace);
+    let mut out = Out::new("diff");
     if json {
-        println!("{}", dayu_trace::json::to_string_pretty(&diff));
-        std::process::exit(i32::from(!diff.is_empty()));
+        writeln!(out, "{}", dayu_trace::json::to_string_pretty(&diff));
+        out.exit(i32::from(!diff.is_empty()));
     }
-    println!(
+    writeln!(
+        out,
         "diff {} ({}) vs {} ({})",
         pa.display(),
         diff.workload_a,
@@ -704,42 +784,46 @@ fn diff_main(mut args: Args) -> ! {
         diff.workload_b
     );
     if diff.is_empty() {
-        println!("  operation streams identical (timestamps ignored)");
-        std::process::exit(0);
+        writeln!(out, "  operation streams identical (timestamps ignored)");
+        out.exit(0);
     }
-    print_diff(&diff);
-    std::process::exit(1);
+    print_diff(&mut out, &diff);
+    out.exit(1);
 }
 
 /// Prints a non-empty diff: the first divergent event with its causal SDG
 /// ancestors, the diverged and one-sided tasks, and the advisor's advice.
-fn print_diff(diff: &BundleDiff) {
+fn print_diff(out: &mut Out, diff: &BundleDiff) {
     if let Some(first) = &diff.first {
-        println!("first divergence: {}", first.detail);
+        writeln!(out, "first divergence: {}", first.detail);
         if !first.ancestors.is_empty() {
-            println!(
+            writeln!(
+                out,
                 "  causal ancestors (SDG walk over run A):\n    tasks:    {}\n    datasets: {}\n    files:    {}",
                 first.ancestors.tasks.join(", "),
                 first.ancestors.datasets.join(", "),
                 first.ancestors.files.join(", ")
             );
         } else {
-            println!("  no upstream producers: the cause is local to the task");
+            writeln!(
+                out,
+                "  no upstream producers: the cause is local to the task"
+            );
         }
     }
     if !diff.diverged_tasks.is_empty() {
-        println!("diverged tasks: {}", diff.diverged_tasks.join(", "));
+        writeln!(out, "diverged tasks: {}", diff.diverged_tasks.join(", "));
     }
     if !diff.only_in_a.is_empty() {
-        println!("tasks only in run A: {}", diff.only_in_a.join(", "));
+        writeln!(out, "tasks only in run A: {}", diff.only_in_a.join(", "));
     }
     if !diff.only_in_b.is_empty() {
-        println!("tasks only in run B: {}", diff.only_in_b.join(", "));
+        writeln!(out, "tasks only in run B: {}", diff.only_in_b.join(", "));
     }
     if let Some(finding) = diff.finding() {
         let recs = dayu_advisor::advise(&[finding]);
         if !recs.is_empty() {
-            println!("\n{}", dayu_advisor::report(&recs));
+            writeln!(out, "\n{}", dayu_advisor::report(&recs));
         }
     }
 }
@@ -774,12 +858,14 @@ fn serve_main(mut args: Args) -> ! {
             std::process::exit(1);
         }
     };
-    println!("serving on {}", server.local_addr());
+    let mut out = Out::new("serve");
+    writeln!(out, "serving on {}", server.local_addr());
     server.wait();
     let findings = service.watchdog();
     for t in service.tenants() {
         if let Some(s) = service.stats(&t) {
-            println!(
+            writeln!(
+                out,
                 "tenant {t}: {} accepted, {} quarantined, {} dropped, {} B retained{}",
                 s.accepted,
                 s.quarantined,
@@ -793,9 +879,9 @@ fn serve_main(mut args: Args) -> ! {
         }
     }
     for f in &findings {
-        println!("  [{}] {f:?}", f.category());
+        writeln!(out, "  [{}] {f:?}", f.category());
     }
-    std::process::exit(0);
+    out.exit(0);
 }
 
 /// `dayu-analyze ingest`: stream a persisted trace into a running serve
@@ -819,6 +905,7 @@ fn ingest_main(mut args: Args) -> ! {
     let mut client =
         dayu_served::IngestClient::new(addr.clone(), RetryPolicy::default()).with_jitter_seed(seed);
     let sections = bundle.split_per_task();
+    let mut out = Out::new("ingest");
     let mut failed = false;
     for (i, section) in sections.iter().enumerate() {
         let bytes = section.to_binary_bytes();
@@ -826,7 +913,8 @@ fn ingest_main(mut args: Args) -> ! {
         loop {
             match client.ingest(&tenant, &bytes) {
                 Ok(dayu_served::IngestStatus::Accepted { records, duplicate }) => {
-                    println!(
+                    writeln!(
+                        out,
                         "section {}/{}: accepted, {records} records{}",
                         i + 1,
                         sections.len(),
@@ -841,7 +929,7 @@ fn ingest_main(mut args: Args) -> ! {
                         failed = true;
                         break;
                     }
-                    std::thread::sleep(std::time::Duration::from_nanos(retry_after_ns));
+                    std::thread::sleep(client.throttle_pause(retry_after_ns, attempt));
                 }
                 Ok(dayu_served::IngestStatus::Quarantined(report)) => {
                     eprintln!("section {}: quarantined: {report}", i + 1);
@@ -865,12 +953,13 @@ fn ingest_main(mut args: Args) -> ! {
         }
     }
     if let Ok(Some(s)) = client.stats(&tenant) {
-        println!(
+        writeln!(
+            out,
             "tenant {tenant} @ {addr}: {} accepted, {} duplicates, {} quarantined, {} dropped",
             s.accepted, s.duplicates, s.quarantined, s.dropped
         );
     }
-    std::process::exit(i32::from(failed));
+    out.exit(i32::from(failed));
 }
 
 /// A subcommand: reads its arguments and exits with its status.
@@ -899,12 +988,12 @@ fn main() {
         command(Args::new(raw[1..].to_vec()));
     }
     let mut args = Args::new(raw);
-    let mut out: Option<PathBuf> = None;
+    let mut out_dir: Option<PathBuf> = None;
     let mut regions: u64 = 0;
     let mut aggregate = false;
     while let Some(flag) = args.flag() {
         match flag.as_str() {
-            "--out" => out = Some(args.value()),
+            "--out" => out_dir = Some(args.value()),
             "--regions" => regions = args.value(),
             "--aggregate" => aggregate = true,
             _ => usage(),
@@ -920,8 +1009,10 @@ fn main() {
     let analysis = Analysis::run_with(&bundle, &sdg_opts, &DetectorConfig::default());
     let recommendations = dayu_advisor::advise(&analysis.findings);
 
-    println!("workflow {:?}", bundle.meta.workflow);
-    println!(
+    let mut out = Out::new("dayu-analyze");
+    writeln!(out, "workflow {:?}", bundle.meta.workflow);
+    writeln!(
+        out,
         "  tasks: {}, object records: {}, low-level ops: {}, files: {}",
         bundle.meta.task_order.len(),
         bundle.vol.len(),
@@ -932,28 +1023,30 @@ fn main() {
     if aggregate {
         ftg = resolution::aggregate(&ftg, &resolution::by_task_prefix);
         sdg = resolution::aggregate(&sdg, &resolution::by_task_prefix);
-        println!("  (task groups aggregated by numeric-suffix prefix)");
+        writeln!(out, "  (task groups aggregated by numeric-suffix prefix)");
     }
-    println!(
+    writeln!(
+        out,
         "  FTG: {} nodes / {} edges;  SDG: {} nodes / {} edges",
         ftg.nodes.len(),
         ftg.edges.len(),
         sdg.nodes.len(),
         sdg.edges.len()
     );
-    println!("\nfindings ({}):", analysis.findings.len());
+    writeln!(out, "\nfindings ({}):", analysis.findings.len());
     for f in &analysis.findings {
-        println!("  [{}] {f:?}", f.category());
+        writeln!(out, "  [{}] {f:?}", f.category());
     }
-    println!("\n{}", dayu_advisor::report(&recommendations));
+    writeln!(out, "\n{}", dayu_advisor::report(&recommendations));
 
-    if let Some(dir) = out {
+    if let Some(dir) = out_dir {
         std::fs::create_dir_all(&dir).expect("create out dir");
         for (g, name) in [(&ftg, "ftg"), (&sdg, "sdg")] {
             std::fs::write(dir.join(format!("{name}.dot")), export::to_dot(g)).unwrap();
             std::fs::write(dir.join(format!("{name}.html")), export::to_html(g)).unwrap();
             std::fs::write(dir.join(format!("{name}.json")), export::to_json(g)).unwrap();
         }
-        println!("graphs written to {}/", dir.display());
+        writeln!(out, "graphs written to {}/", dir.display());
     }
+    out.exit(0);
 }

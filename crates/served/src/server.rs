@@ -198,6 +198,17 @@ impl IngestClient {
         self
     }
 
+    /// How long to wait before resubmitting after the `attempt`-th
+    /// (1-based) [`IngestStatus::Throttled`] answer: the service's
+    /// `retry_after_ns` hint plus the policy's jitter from this client's
+    /// seed, so throttled clients do not retry in lockstep.
+    pub fn throttle_pause(&self, retry_after_ns: u64, attempt: u32) -> Duration {
+        Duration::from_nanos(
+            self.policy
+                .jittered_ns(retry_after_ns, attempt, self.jitter_seed),
+        )
+    }
+
     /// Submits one encoded section, computing its digest client-side.
     pub fn ingest(&mut self, tenant: &str, section: &[u8]) -> io::Result<IngestStatus> {
         let req = Request::Ingest {
@@ -379,5 +390,25 @@ mod tests {
             },
         );
         assert!(client.ping().is_err());
+    }
+
+    #[test]
+    fn throttled_clients_pause_apart_within_the_jitter() {
+        let policy = RetryPolicy::default();
+        let hint = 2_000_000;
+        let most = Duration::from_nanos(hint + (hint as f64 * policy.jitter) as u64);
+        let client = |seed| IngestClient::new("127.0.0.1:9", policy.clone()).with_jitter_seed(seed);
+        let (a, b) = (client(7), client(8));
+        for attempt in 1..=3 {
+            let pauses = [
+                a.throttle_pause(hint, attempt),
+                b.throttle_pause(hint, attempt),
+            ];
+            assert_ne!(pauses[0], pauses[1], "attempt {attempt}");
+            for p in pauses {
+                assert!((Duration::from_nanos(hint)..=most).contains(&p), "{p:?}");
+            }
+            assert_eq!(a.throttle_pause(hint, attempt), pauses[0], "deterministic");
+        }
     }
 }

@@ -276,7 +276,7 @@ impl Served {
             }
         }
         let checked = Checked::new(payload, declared);
-        self.commit(tenant, resident, now, &checked)
+        self.commit(tenant, resident, now, checked)
     }
 
     /// Applies a checked section to its tenant, admitting the tenant if
@@ -288,7 +288,7 @@ impl Served {
         name: &str,
         mut resident: Option<Slot>,
         now: Timestamp,
-        sec: &Checked,
+        sec: Checked,
     ) -> IngestStatus {
         loop {
             let slot = match resident.take() {
@@ -310,7 +310,7 @@ impl Served {
                         table.tenants.insert(name.to_owned(), Arc::clone(&slot));
                         let mut t = lock(&slot);
                         drop(table);
-                        return self.settle(sec, self.apply(&mut t, name, now, sec));
+                        return self.settle(sec.bytes, self.apply(&mut t, name, now, sec));
                     }
                 }
             };
@@ -321,7 +321,7 @@ impl Served {
             if !self.reserve(sec.bytes) {
                 break;
             }
-            return self.settle(sec, self.apply(&mut t, name, now, sec));
+            return self.settle(sec.bytes, self.apply(&mut t, name, now, sec));
         }
         self.commit_exclusive(name, now, sec)
     }
@@ -330,7 +330,8 @@ impl Served {
     /// evicting oldest-idle tenants while the table is full, applies the
     /// section, and then sheds oldest-idle tenants (never this one) until
     /// the byte total is back within budget.
-    fn commit_exclusive(&self, name: &str, now: Timestamp, sec: &Checked) -> IngestStatus {
+    fn commit_exclusive(&self, name: &str, now: Timestamp, sec: Checked) -> IngestStatus {
+        let bytes = sec.bytes;
         self.exclusive(|table, tenants| {
             let status = match tenants.iter().position(|(n, _)| *n == name) {
                 Some(i) => self.apply(tenants[i].1, name, now, sec),
@@ -347,7 +348,7 @@ impl Served {
                 }
             };
             if status.grew() {
-                self.total_bytes.fetch_add(sec.bytes, Ordering::Relaxed);
+                self.total_bytes.fetch_add(bytes, Ordering::Relaxed);
                 while self.total_bytes.load(Ordering::Relaxed) > self.budgets.max_bytes_total
                     && self.evict_lru(table, tenants, Some(name))
                 {}
@@ -358,22 +359,23 @@ impl Served {
 
     /// The one-at-a-time pipeline after admission, on a tenant the caller
     /// holds: count the section, take its token, quarantine it if it is
-    /// corrupt, enforce the tenant's budgets, absorb it.
-    fn apply(&self, t: &mut Tenant, name: &str, now: Timestamp, sec: &Checked) -> IngestStatus {
+    /// corrupt, enforce the tenant's budgets, absorb it. The decoded
+    /// section moves into the tenant's graph.
+    fn apply(&self, t: &mut Tenant, name: &str, now: Timestamp, sec: Checked) -> IngestStatus {
         let sequence = match t.arrive(now) {
             Ok(sequence) => sequence,
             Err(throttled) => return throttled,
         };
-        let bundle = match &sec.decoded {
+        let bundle = match sec.decoded {
             Ok(bundle) => bundle,
             Err((offset, cause)) => {
                 let report = QuarantineReport {
                     tenant: name.to_owned(),
                     sequence,
-                    offset: *offset,
+                    offset,
                     len: sec.len,
                     digest: sec.digest,
-                    cause: cause.clone(),
+                    cause,
                 };
                 t.stats.quarantined += 1;
                 t.degrade("quarantined sections");
@@ -392,7 +394,7 @@ impl Served {
             return t.reject("graph node");
         }
         let records = bundle.vfd.len() + bundle.vol.len() + bundle.files.len();
-        let duplicate = !t.graph.absorb_unique(sec.digest, bundle);
+        let duplicate = !t.graph.absorb_unique_owned(sec.digest, bundle);
         if duplicate {
             t.stats.duplicates += 1;
         } else {
@@ -415,11 +417,11 @@ impl Served {
                 .is_ok()
     }
 
-    /// Gives back the reservation of a section that did not grow its
-    /// tenant's graph.
-    fn settle(&self, sec: &Checked, status: IngestStatus) -> IngestStatus {
+    /// Gives back the `bytes` reserved for a section that did not grow
+    /// its tenant's graph.
+    fn settle(&self, bytes: usize, status: IngestStatus) -> IngestStatus {
         if !status.grew() {
-            self.total_bytes.fetch_sub(sec.bytes, Ordering::Relaxed);
+            self.total_bytes.fetch_sub(bytes, Ordering::Relaxed);
         }
         status
     }

@@ -112,13 +112,17 @@ impl TraceMeta {
     /// in order. The degraded and recovered sets become the sorted union
     /// of both, without repeats (traces written by older builds or by
     /// hand may carry them unsorted). Stages and origin keep the first
-    /// non-empty value. Merging a meta into a copy of itself changes only
-    /// its sets, so a join seeds with its first section's meta and then
-    /// merges every section, the first included. One call hashes `later`'s
-    /// tasks into a set and probes it once per task of this order, so it
-    /// stays cheap when a one-task order joins a long one.
+    /// non-empty value. A join seeds with its first section's meta, by
+    /// [`Self::into_first`], and merges every later section.
+    ///
+    /// When `later`'s order is a prefix of this one, as in every
+    /// section [`TraceBundle::split_per_task`] cuts after the first,
+    /// nothing can be appended and the order is left as it is. Otherwise
+    /// one call hashes `later`'s tasks into a set and probes it once per
+    /// task of this order, so it stays cheap when a one-task order joins
+    /// a long one.
     pub fn merge(&mut self, later: &TraceMeta) {
-        if !later.task_order.is_empty() {
+        if !self.task_order.starts_with(&later.task_order) {
             let mut missing: SymbolSet<&TaskKey> = later.task_order.iter().collect();
             for t in &self.task_order {
                 missing.remove(t);
@@ -137,6 +141,17 @@ impl TraceMeta {
         if self.origin.is_none() {
             self.origin.clone_from(&later.origin);
         }
+    }
+
+    /// This meta as the first section of a join: its degraded and
+    /// recovered sets sorted, without repeats, which is all that
+    /// [`Self::merge`] would change in merging it into a copy of itself.
+    pub fn into_first(mut self) -> Self {
+        for set in [&mut self.degraded_tasks, &mut self.recovered_tasks] {
+            set.sort_unstable();
+            set.dedup();
+        }
+        self
     }
 }
 
@@ -174,11 +189,12 @@ struct Collector {
 
 impl RecordSink for Collector {
     fn meta(&mut self, m: TraceMeta) -> io::Result<()> {
-        if !self.saw_meta {
-            self.out.meta.clone_from(&m);
+        if self.saw_meta {
+            self.out.meta.merge(&m);
+        } else {
+            self.out.meta = m.into_first();
             self.saw_meta = true;
         }
-        self.out.meta.merge(&m);
         Ok(())
     }
 

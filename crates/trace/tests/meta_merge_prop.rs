@@ -4,8 +4,11 @@
 //! section metas whose task orders overlap, repeat a task (the first
 //! order included), name tasks no other meta names or are empty, whose
 //! degraded and recovered sets are unsorted with repeats, and whose stages
-//! and origin are set in some metas and empty in others. The merged meta
-//! must equal [`expected`], a test-local statement of the rule.
+//! and origin are set in some metas and empty in others. A later meta may
+//! repeat an earlier one, or a prefix of its order, as every section
+//! `TraceBundle::split_per_task` cuts repeats the bundle's meta. The
+//! merged meta must equal [`expected`], a test-local statement of the
+//! rule.
 
 use dayu_trace::ids::TaskKey;
 use dayu_trace::rng::{cases, ChaosRng};
@@ -20,8 +23,18 @@ fn arb_tasks(rng: &mut ChaosRng) -> Vec<TaskKey> {
         .collect()
 }
 
-/// The meta of section `i`.
-fn arb_meta(rng: &mut ChaosRng, i: usize) -> TraceMeta {
+/// The meta of the section after `earlier`: sometimes a copy of an
+/// earlier meta, whole or with its order cut to a prefix.
+fn arb_meta(rng: &mut ChaosRng, earlier: &[TraceMeta]) -> TraceMeta {
+    if !earlier.is_empty() && rng.chance(0.4) {
+        let mut m = earlier[rng.range(0, earlier.len() as u64) as usize].clone();
+        if rng.chance(0.5) {
+            let keep = rng.range(0, m.task_order.len() as u64 + 1) as usize;
+            m.task_order.truncate(keep);
+        }
+        return m;
+    }
+    let i = earlier.len();
     let mut task_order = arb_tasks(rng);
     if rng.chance(0.3) {
         task_order.push(TaskKey::new(format!("only_{i}")));
@@ -84,9 +97,11 @@ fn expected(metas: &[TraceMeta]) -> TraceMeta {
 #[test]
 fn every_join_merges_meta_by_one_rule() {
     cases("every_join_merges_meta_by_one_rule", 512, |rng| {
-        let metas: Vec<TraceMeta> = (0..rng.range(1, 5) as usize)
-            .map(|i| arb_meta(rng, i))
-            .collect();
+        let mut metas = Vec::new();
+        for _ in 0..rng.range(1, 5) {
+            let meta = arb_meta(rng, &metas);
+            metas.push(meta);
+        }
         let want = expected(&metas);
         let sections: Vec<TraceBundle> = metas
             .iter()

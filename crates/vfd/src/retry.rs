@@ -92,12 +92,19 @@ impl RetryPolicy {
             .base_backoff_ns
             .saturating_mul(1u64 << exp)
             .min(self.max_backoff_ns.max(self.base_backoff_ns));
+        self.jittered_ns(base, attempt, jitter_seed)
+    }
+
+    /// `pause_ns` plus this policy's jitter for `attempt`, drawn from
+    /// `jitter_seed`: a pause in `[pause_ns, pause_ns × (1 + jitter)]`,
+    /// the same for the same arguments.
+    pub fn jittered_ns(&self, pause_ns: u64, attempt: u32, jitter_seed: u64) -> u64 {
         if self.jitter <= 0.0 {
-            return base;
+            return pause_ns;
         }
         let mut rng =
             ChaosRng::new(jitter_seed ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        base + (base as f64 * self.jitter * rng.next_f64()) as u64
+        pause_ns.saturating_add((pause_ns as f64 * self.jitter * rng.next_f64()) as u64)
     }
 }
 

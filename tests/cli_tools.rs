@@ -312,6 +312,90 @@ fn dayu_analyze_check_passes_clean_trace_and_flags_planted_hazard() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
+/// A reader that closes stdout after one line (`dayu-analyze … | head -1`)
+/// ends the output quietly: no panic, and the exit code the command's
+/// result decides, so `check` still exits 1 on its findings. Any other
+/// write error exits 1 and names the command.
+#[test]
+fn dayu_analyze_output_stops_quietly_when_the_reader_closes_the_pipe() {
+    use dayu_trace::{
+        AccessType, FileKey, IoKind, ObjectKey, TaskKey, Timestamp, TraceBundle, VfdRecord,
+    };
+    use std::io::BufRead;
+    use std::process::Stdio;
+
+    // Each reader starts before its producer: one read-before-write
+    // finding per pair. `dump` alone writes over 1 MiB, more than any
+    // default pipe buffers, so its writes outlast the reader.
+    const PAIRS: usize = 4000;
+    let dir = tmp_dir("pipe");
+    let mut bundle = TraceBundle::new("pipe_wf");
+    for i in 0..PAIRS {
+        let file = FileKey::new(format!("data_{i}.h5"));
+        for (task, kind, start) in [
+            ("reader", IoKind::Read, 0),
+            ("producer", IoKind::Write, 100),
+        ] {
+            bundle.vfd.push(VfdRecord {
+                task: TaskKey::new(format!("{task}_{i}")),
+                file: file.clone(),
+                kind,
+                offset: 0,
+                len: 1024,
+                access: AccessType::RawData,
+                object: ObjectKey::new("/d"),
+                start: Timestamp(start),
+                end: Timestamp(start + 50),
+            });
+        }
+    }
+    let dtb = dir.join("trace.dtb");
+    std::fs::write(&dtb, bundle.to_binary_bytes()).unwrap();
+    let path = dtb.to_str().unwrap();
+    for (args, code) in [
+        (vec![path], 0),
+        (vec!["dump", path], 0),
+        (vec!["check", path], 1),
+    ] {
+        let mut child = Command::new(bin("dayu-analyze"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut line = String::new();
+        // The reader is dropped, and the pipe closed, after one line.
+        std::io::BufReader::new(child.stdout.take().unwrap())
+            .read_line(&mut line)
+            .unwrap();
+        assert!(!line.is_empty(), "{args:?}");
+        let out = child.wait_with_output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {err}");
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {err}");
+        assert!(err.is_empty(), "{args:?}: {err}");
+    }
+
+    // A full device is an error, not a closed reader.
+    if let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") {
+        for (args, command) in [(vec![path], "dayu-analyze"), (vec!["dump", path], "dump")] {
+            let out = Command::new(bin("dayu-analyze"))
+                .args(&args)
+                .stdout(full.try_clone().unwrap())
+                .output()
+                .unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert!(
+                err.starts_with(&format!("{command}: cannot write: ")),
+                "{args:?}: {err}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 /// `dump` prints a `.dtb` trace as its JSONL export, byte for byte, and
 /// every subcommand that reads a trace refuses that export as input: the
 /// CLI reads `.dtb` only.
