@@ -33,10 +33,10 @@
 //! node ids and edge order match; node spans and edge statistics are
 //! mins, maxes and sums, which do not depend on grouping.
 //! [`crate::Analysis::run`] partitions once for both graphs. The
-//! incremental builder ([`crate::partial`]) folds and writes one task at
-//! a time (`ftg_records`, `sdg_records`) into one small graph per
-//! task and merges those in the same order, so its snapshots are the
-//! batch graphs, node and edge ids included.
+//! incremental builder ([`crate::partial`]) keeps no bundle: it builds a
+//! partition from each task's retained records, in the same task order,
+//! and hands them to the same writer, so its snapshots are the batch
+//! graphs, node and edge ids included.
 
 use crate::graph::{EdgeStats, Graph, GraphKind, NodeKind, Operation};
 use dayu_trace::store::TraceBundle;
@@ -161,8 +161,8 @@ impl<'r> Folder<'r> {
 
 /// One task's slice of a bundle: its VFD records folded, its VOL and
 /// file records in within-task record order. Shared with the incremental
-/// builder ([`crate::partial`]), which assembles partitions from its
-/// retained per-task record stores instead of a whole bundle.
+/// builder ([`crate::partial`]), which builds partitions from its
+/// retained per-task records instead of a whole bundle.
 pub(crate) struct Partition<'a> {
     task: TaskKey,
     folds: Vec<Fold>,
@@ -253,15 +253,16 @@ pub(crate) fn partition_for<'a>(bundle: &'a TraceBundle, opts: &SdgOptions) -> V
     partition(bundle, Some(&regions))
 }
 
-/// A graph of the bundle's workflow: one task node per partition, then
-/// each partition's records written by `write`, both in partition order.
+/// A graph of `workflow`: one task node per partition, then each
+/// partition's records written by `write`, both in partition order. Batch
+/// builds and [`crate::PartialGraph`] snapshots both reach a graph here.
 fn write_tasks(
     kind: GraphKind,
-    bundle: &TraceBundle,
+    workflow: &str,
     parts: &[Partition<'_>],
     mut write: impl FnMut(&mut Graph, &Partition<'_>),
 ) -> Graph {
-    let mut g = Graph::new(kind, bundle.meta.workflow.clone());
+    let mut g = Graph::new(kind, workflow);
     for part in parts {
         g.node_sym(NodeKind::Task, part.task.symbol());
     }
@@ -281,7 +282,7 @@ fn touch(g: &mut Graph, id: usize, stats: &EdgeStats) {
 /// Writes one task's records into `g` under the FTG's rules. `vfd_empty`
 /// is the whole bundle's, not the task's: a bundle without VFD records
 /// falls back to file statistics in every task.
-pub(crate) fn ftg_records(g: &mut Graph, part: &Partition<'_>, vfd_empty: bool) {
+fn ftg_records(g: &mut Graph, part: &Partition<'_>, vfd_empty: bool) {
     let t = g.node_sym(NodeKind::Task, part.task.symbol());
 
     for Fold { key, stats } in &part.folds {
@@ -341,14 +342,17 @@ pub(crate) fn ftg_records(g: &mut Graph, part: &Partition<'_>, vfd_empty: bool) 
 
 /// Builds the File-Task Graph.
 pub fn build_ftg(bundle: &TraceBundle) -> Graph {
-    ftg_of(bundle, &partition(bundle, None))
+    ftg_of(
+        &bundle.meta.workflow,
+        bundle.vfd.is_empty(),
+        &partition(bundle, None),
+    )
 }
 
-/// [`build_ftg`] over the bundle's [`partition`], folded with or without
-/// regions.
-pub(crate) fn ftg_of(bundle: &TraceBundle, parts: &[Partition<'_>]) -> Graph {
-    let vfd_empty = bundle.vfd.is_empty();
-    write_tasks(GraphKind::Ftg, bundle, parts, |g, part| {
+/// The FTG of `workflow` over its task partitions, folded with or without
+/// regions; `vfd_empty` says whether the workflow has no VFD record.
+pub(crate) fn ftg_of(workflow: &str, vfd_empty: bool, parts: &[Partition<'_>]) -> Graph {
+    write_tasks(GraphKind::Ftg, workflow, parts, |g, part| {
         ftg_records(g, part, vfd_empty)
     })
 }
@@ -367,7 +371,7 @@ pub fn region_label(file: &str, lo_page: u64, hi_page: u64) -> String {
 /// labels, `file:[lo-hi)p` region labels), so a build formats a label
 /// string only the first time a distinct one appears.
 #[derive(Default)]
-pub(crate) struct LabelCache {
+struct LabelCache {
     dataset: SymbolMap<(Symbol, Symbol), Symbol>,
     region: SymbolMap<(Symbol, u64, u64), Symbol>,
 }
@@ -391,12 +395,7 @@ impl LabelCache {
 /// Writes one task's records into `g` under the SDG's rules. The
 /// partition's groups carry a region exactly when it was folded in region
 /// mode, and then each writes a region node between dataset and file.
-pub(crate) fn sdg_records(
-    g: &mut Graph,
-    labels: &mut LabelCache,
-    part: &Partition<'_>,
-    vfd_empty: bool,
-) {
+fn sdg_records(g: &mut Graph, labels: &mut LabelCache, part: &Partition<'_>, vfd_empty: bool) {
     let t = g.node_sym(NodeKind::Task, part.task.symbol());
 
     // Low-level truth: edges from attributed VFD records.
@@ -463,15 +462,18 @@ pub(crate) fn sdg_records(
 
 /// Builds the Semantic Dataflow Graph.
 pub fn build_sdg(bundle: &TraceBundle, opts: &SdgOptions) -> Graph {
-    sdg_of(bundle, &partition_for(bundle, opts))
+    sdg_of(
+        &bundle.meta.workflow,
+        bundle.vfd.is_empty(),
+        &partition_for(bundle, opts),
+    )
 }
 
-/// [`build_sdg`] over the bundle's [`partition`]; region nodes appear
-/// when it was folded with regions.
-pub(crate) fn sdg_of(bundle: &TraceBundle, parts: &[Partition<'_>]) -> Graph {
-    let vfd_empty = bundle.vfd.is_empty();
+/// The SDG of `workflow` over its task partitions; region nodes appear
+/// when they were folded with regions.
+pub(crate) fn sdg_of(workflow: &str, vfd_empty: bool, parts: &[Partition<'_>]) -> Graph {
     let mut labels = LabelCache::default();
-    write_tasks(GraphKind::Sdg, bundle, parts, |g, part| {
+    write_tasks(GraphKind::Sdg, workflow, parts, |g, part| {
         sdg_records(g, &mut labels, part, vfd_empty)
     })
 }
@@ -705,9 +707,9 @@ mod tests {
         assert_eq!(build_sdg(&b, &SdgOptions::default()).nodes.len(), 0);
     }
 
-    /// The batch build equals `PartialGraph`'s per-task partials folded
-    /// in task order, node and edge ids included, on a bundle with a
-    /// straggler task missing from `task_order`.
+    /// The batch build equals a `PartialGraph` snapshot, node and edge
+    /// ids included, on a bundle with a straggler task missing from
+    /// `task_order`.
     #[test]
     fn partial_snapshot_equals_batch_build() {
         let mut b = sample_bundle();

@@ -54,14 +54,11 @@ impl Analysis {
 
     /// Builds graphs and runs detectors with explicit options. The bundle
     /// is split by task and its VFD records folded once, for both graphs.
-    pub fn run_with(
-        bundle: &TraceBundle,
-        sdg_opts: &SdgOptions,
-        det_cfg: &DetectorConfig,
-    ) -> Analysis {
-        let parts = build::partition_for(bundle, sdg_opts);
-        let ftg = build::ftg_of(bundle, &parts);
-        let sdg = build::sdg_of(bundle, &parts);
+    pub fn run_with(bundle: &TraceBundle, opts: &SdgOptions, det_cfg: &DetectorConfig) -> Analysis {
+        let parts = build::partition_for(bundle, opts);
+        let (workflow, vfd_empty) = (&bundle.meta.workflow, bundle.vfd.is_empty());
+        let ftg = build::ftg_of(workflow, vfd_empty, &parts);
+        let sdg = build::sdg_of(workflow, vfd_empty, &parts);
         let findings = run_detectors(bundle, &ftg, &sdg, det_cfg);
         Analysis { ftg, sdg, findings }
     }

@@ -3,15 +3,14 @@
 //! The batch builders ([`crate::build`]) assume a complete bundle. A
 //! long-running ingest service sees the opposite: trace sections trickle in
 //! per task flush, out of order, sometimes duplicated by a retrying client.
-//! [`PartialGraph`] absorbs sections one at a time, retains records grouped
-//! by task, and snapshots a full graph on demand. It keeps one small graph
-//! per task, built by the batch path's own per-task passes (the task's VFD
-//! records folded, then `build::ftg_records`, `build::sdg_records`),
-//! rebuilds only those whose inputs changed, and folds them into the
-//! snapshot in task order.
-//! Every fold is a min, max or sum, so a snapshot is not merely equivalent
-//! to `build_ftg`/`build_sdg` over the union of the absorbed sections: it
-//! is the identical graph, node ids and all.
+//! [`PartialGraph`] absorbs sections one at a time and retains their
+//! records grouped by task. A snapshot runs the batch build's own writer
+//! over those groups, one partition per task in snapshot order, so a
+//! snapshot is not merely equivalent to `build_ftg`/`build_sdg` over the
+//! union of the absorbed sections: it is the identical graph, node ids
+//! and all. A tenant's state is its records, its merged meta, the digests
+//! of its sections and a few running counts; no graph is kept between
+//! snapshots, so nothing is invalidated when a section lands.
 //!
 //! A section is absorbed in one pass. [`PartialGraph::absorb_owned`]
 //! takes the decoded section by value and moves its records to their
@@ -22,20 +21,9 @@
 //! delegate. Every [`TraceBundle::split_per_task`] section repeats the
 //! full meta; after the first, its order is a prefix of the merged one,
 //! which [`TraceMeta::merge`] leaves alone without hashing it, and only
-//! the tasks a merge appends become new task nodes.
-//!
-//! Two bundle-wide properties gate what a per-task partial looks like and
-//! therefore version the caches:
-//!
-//! * whether the bundle has any VFD records at all (`vfd_empty` selects the
-//!   FileRecord/VOL fallbacks), and
-//! * in region mode, each file's observed extent (region geometry).
-//!
-//! Absorbing a section that flips either invalidates every cached partial;
-//! absorbing one that only appends records to task *t* invalidates only
-//! *t*'s. Sections are deduplicated by content digest
-//! ([`PartialGraph::absorb_unique`]) so a client retrying over a flaky
-//! connection cannot double-count records.
+//! the tasks a merge appends become new task nodes. Sections are
+//! deduplicated by content digest ([`PartialGraph::absorb_unique`]) so a
+//! client retrying over a flaky connection cannot double-count records.
 //!
 //! ## Equivalence contract
 //!
@@ -48,8 +36,8 @@
 //! arrive in recorded order and is a deterministic (but arrival-dependent)
 //! order otherwise.
 
-use crate::build::{self, LabelCache, Partition, Regions, SdgOptions};
-use crate::graph::{Graph, GraphKind, NodeKind};
+use crate::build::{self, Partition, Regions, SdgOptions};
+use crate::graph::Graph;
 use dayu_trace::sha256::Digest;
 use dayu_trace::store::{TraceBundle, TraceMeta};
 use dayu_trace::vfd::{FileRecord, VfdRecord};
@@ -63,16 +51,6 @@ struct TaskState {
     vfd: Vec<VfdRecord>,
     vol: Vec<VolRecord>,
     files: Vec<FileRecord>,
-    /// Bumped on every append; cached partials remember the value they
-    /// were built from.
-    rev: u64,
-}
-
-/// A cached per-task partial graph and the input versions it reflects.
-struct CacheEntry {
-    task_rev: u64,
-    geometry_rev: u64,
-    graph: Graph,
 }
 
 /// Incrementally-buildable graph state for one workflow.
@@ -96,15 +74,8 @@ pub struct PartialGraph {
     /// Its keys are the files of data-moving VFD records: the FTG's file
     /// nodes once any VFD record has arrived.
     file_extent: SymbolMap<Symbol, u64>,
-    /// Bumped when `vfd_empty` flips or any file extent grows.
-    geometry_rev: u64,
     /// Digests of sections already absorbed via [`Self::absorb_unique`].
     digests: HashSet<Digest>,
-    ftg_cache: HashMap<TaskKey, CacheEntry>,
-    /// SDG cache plus the options fingerprint it was built under; a
-    /// snapshot with different options drops the whole cache.
-    sdg_cache: HashMap<TaskKey, CacheEntry>,
-    sdg_opts: Option<(bool, u64)>,
 }
 
 impl PartialGraph {
@@ -181,21 +152,11 @@ impl PartialGraph {
             files,
         } = section;
         self.absorb_meta(meta);
-        for r in &vfd {
-            if r.kind.moves_data() {
-                let e = self.file_extent.entry(r.file.symbol()).or_default();
-                let end = r.offset.saturating_add(r.len);
-                if end > *e {
-                    *e = end;
-                    self.geometry_rev += 1;
-                }
-            }
-            if self.vfd_total == 0 {
-                // vfd_empty flips: every fallback-derived partial is stale.
-                self.geometry_rev += 1;
-            }
-            self.vfd_total += 1;
+        for r in vfd.iter().filter(|r| r.kind.moves_data()) {
+            let e = self.file_extent.entry(r.file.symbol()).or_default();
+            *e = (*e).max(r.offset.saturating_add(r.len));
         }
+        self.vfd_total += vfd.len();
         self.record_files
             .extend(files.iter().map(|r| r.file.symbol()));
         self.record_total += vfd.len() + vol.len() + files.len();
@@ -245,60 +206,43 @@ impl PartialGraph {
         b
     }
 
-    /// Snapshots the File-Task Graph over everything absorbed so far,
-    /// rebuilding only the per-task partials invalidated since the last
-    /// snapshot.
-    pub fn snapshot_ftg(&mut self) -> Graph {
-        let vfd_empty = self.vfd_total == 0;
-        let ordering = self.ordering();
-        let geometry_rev = self.geometry_rev;
-        refresh_cache(
-            &mut self.ftg_cache,
-            &self.tasks,
-            &ordering,
-            geometry_rev,
-            None,
-            |part| {
-                let mut g = Graph::new(GraphKind::Ftg, "");
-                build::ftg_records(&mut g, part, vfd_empty);
-                g
-            },
-        );
-        let mut g = Graph::new(GraphKind::Ftg, self.meta.workflow.clone());
-        assemble(&mut g, &ordering, &self.ftg_cache);
-        g
+    /// Snapshots the File-Task Graph over everything absorbed so far.
+    pub fn snapshot_ftg(&self) -> Graph {
+        build::ftg_of(
+            &self.meta.workflow,
+            self.vfd_total == 0,
+            &self.partitions(None),
+        )
     }
 
-    /// Snapshots the Semantic Dataflow Graph. Changing `opts` between
-    /// snapshots is allowed and rebuilds everything once.
-    pub fn snapshot_sdg(&mut self, opts: &SdgOptions) -> Graph {
-        let fingerprint = (opts.include_regions, opts.region_count);
-        if self.sdg_opts != Some(fingerprint) {
-            self.sdg_cache.clear();
-            self.sdg_opts = Some(fingerprint);
-        }
+    /// Snapshots the Semantic Dataflow Graph; region nodes split each
+    /// file's extent as observed so far.
+    pub fn snapshot_sdg(&self, opts: &SdgOptions) -> Graph {
         let regions = Regions {
             count: opts.region_count,
             file_extent: &self.file_extent,
             page: self.meta.page_size.max(1),
         };
-        let vfd_empty = self.vfd_total == 0;
-        let ordering = self.ordering();
-        refresh_cache(
-            &mut self.sdg_cache,
-            &self.tasks,
-            &ordering,
-            self.geometry_rev,
-            opts.include_regions.then_some(&regions),
-            |part| {
-                let mut g = Graph::new(GraphKind::Sdg, "");
-                build::sdg_records(&mut g, &mut LabelCache::default(), part, vfd_empty);
-                g
-            },
-        );
-        let mut g = Graph::new(GraphKind::Sdg, self.meta.workflow.clone());
-        assemble(&mut g, &ordering, &self.sdg_cache);
-        g
+        let parts = self.partitions(opts.include_regions.then_some(&regions));
+        build::sdg_of(&self.meta.workflow, self.vfd_total == 0, &parts)
+    }
+
+    /// One partition per task in snapshot order, each task's VFD records
+    /// folded under `regions`: what the batch build partitions the merged
+    /// bundle into.
+    fn partitions(&self, regions: Option<&Regions<'_>>) -> Vec<Partition<'_>> {
+        static EMPTY: TaskState = TaskState {
+            vfd: Vec::new(),
+            vol: Vec::new(),
+            files: Vec::new(),
+        };
+        self.ordering()
+            .into_iter()
+            .map(|t| {
+                let s = self.tasks.get(&t).unwrap_or(&EMPTY);
+                Partition::from_slices(t, &s.vfd, &s.vol, &s.files, regions)
+            })
+            .collect()
     }
 
     /// Snapshot task ordering: execution order first, record-bearing
@@ -315,16 +259,13 @@ impl PartialGraph {
         tasks
     }
 
-    /// `task`'s records, created (and its arrival noted) on first sight,
-    /// with its revision bumped for the records the caller appends.
+    /// `task`'s records, created (and its arrival noted) on first sight.
     fn task_state(&mut self, task: &TaskKey) -> &mut TaskState {
-        let state = self.tasks.entry(task.clone()).or_insert_with(|| {
+        self.tasks.entry(task.clone()).or_insert_with(|| {
             self.task_nodes.insert(task.symbol());
             self.arrival.push(task.clone());
             TaskState::default()
-        });
-        state.rev += 1;
-        state
+        })
     }
 
     /// Moves `records` to their tasks' slots (`slot` picks the vector),
@@ -374,78 +315,6 @@ impl PartialGraph {
         }
         self.task_nodes
             .extend(self.meta.task_order[known..].iter().map(TaskKey::symbol));
-    }
-}
-
-/// Rebuilds the cache entries that are stale for the current input
-/// versions. Each stale task's VFD records are folded under `regions`.
-fn refresh_cache<F>(
-    cache: &mut HashMap<TaskKey, CacheEntry>,
-    tasks: &HashMap<TaskKey, TaskState>,
-    ordering: &[TaskKey],
-    geometry_rev: u64,
-    regions: Option<&Regions<'_>>,
-    build: F,
-) where
-    F: Fn(&Partition<'_>) -> Graph,
-{
-    static EMPTY: TaskState = TaskState {
-        vfd: Vec::new(),
-        vol: Vec::new(),
-        files: Vec::new(),
-        rev: 0,
-    };
-    for t in ordering {
-        let s = tasks.get(t).unwrap_or(&EMPTY);
-        let fresh = cache
-            .get(t)
-            .is_some_and(|c| c.task_rev == s.rev && c.geometry_rev == geometry_rev);
-        if fresh {
-            continue;
-        }
-        let part = Partition::from_slices(t.clone(), &s.vfd, &s.vol, &s.files, regions);
-        let graph = build(&part);
-        cache.insert(
-            t.clone(),
-            CacheEntry {
-                task_rev: s.rev,
-                geometry_rev,
-                graph,
-            },
-        );
-    }
-}
-
-/// Seeds task nodes then folds the cached partials, in snapshot order —
-/// the order in which the batch build seeds task nodes and then writes
-/// each task's records.
-fn assemble(g: &mut Graph, ordering: &[TaskKey], cache: &HashMap<TaskKey, CacheEntry>) {
-    for t in ordering {
-        g.node_sym(NodeKind::Task, t.symbol());
-    }
-    for t in ordering {
-        if let Some(entry) = cache.get(t) {
-            merge_partial(g, &entry.graph);
-        }
-    }
-    g.normalize_times();
-}
-
-/// Folds a per-task partial graph into `g`: nodes dedup by
-/// `(kind, label)` with spans/volumes merged, edges dedup by
-/// `(from, to, op)` with statistics merged. Node and edge ids come out as
-/// if the partial's records had been written into `g` directly.
-fn merge_partial(g: &mut Graph, part: &Graph) {
-    let mut map = Vec::with_capacity(part.nodes.len());
-    for n in &part.nodes {
-        let id = g.node_sym(n.kind, Symbol::intern(&n.label));
-        // Untouched nodes carry the (start=MAX, end=0) sentinel, which is
-        // the identity of the (min, max) fold — merging it is a no-op.
-        g.touch_node(id, n.start, n.end, n.volume);
-        map.push(id);
-    }
-    for e in &part.edges {
-        g.edge(map[e.from], map[e.to], e.op, e.stats.clone());
     }
 }
 
@@ -549,10 +418,9 @@ mod tests {
 
     #[test]
     fn interleaved_snapshots_match_fresh_batch_builds() {
-        // Snapshot between every absorb: the caches must refresh exactly
-        // the partials whose inputs changed, including the vfd_empty flip
-        // when the first VFD-bearing section lands after a FileRecord-only
-        // one.
+        // Snapshot between every absorb, including across the vfd_empty
+        // flip when the first VFD-bearing section lands after a
+        // FileRecord-only one.
         let b = sample_bundle();
         let sections = b.split_per_task();
         let mut pg = PartialGraph::new();
@@ -595,7 +463,7 @@ mod tests {
     fn extent_growth_invalidates_region_geometry() {
         // First section writes low offsets; snapshot; second section
         // extends the file 100x — region boundaries move for *already
-        // absorbed* records, so stale cached partials would be wrong.
+        // absorbed* records.
         let mut b = TraceBundle::new("wf");
         b.push_task(TaskKey::new("t1"));
         b.push_task(TaskKey::new("t2"));
@@ -642,7 +510,7 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_task_runs_absorb_in_order_and_cache_per_task() {
+    fn interleaved_task_runs_absorb_in_order() {
         // One section whose vfd, vol and file records each run t1, t2, t1:
         // two runs of t1 and one of t2 per record kind.
         let (t1, t2) = (TaskKey::new("t1"), TaskKey::new("t2"));
@@ -695,13 +563,7 @@ mod tests {
             assert_identical(&pg.snapshot_sdg(&opts), &build_sdg(&b, &opts));
         }
 
-        // A later t2-only section inside a.h5's known extent moves no
-        // geometry: t1's cached partials are kept, t2's are rebuilt.
-        let revs = |cache: &HashMap<TaskKey, CacheEntry>, t: &TaskKey| {
-            (cache[t].task_rev, cache[t].geometry_rev)
-        };
-        let (ftg_t1, sdg_t1) = (revs(&pg.ftg_cache, &t1), revs(&pg.sdg_cache, &t1));
-        let (ftg_t2, sdg_t2) = (revs(&pg.ftg_cache, &t2), revs(&pg.sdg_cache, &t2));
+        // A later t2-only section inside a.h5's known extent.
         let mut later = b.clone();
         later.vfd = vec![vfd("t2", "a.h5", "/d1", IoKind::Read, 4096, 50)];
         later.vol.clear();
@@ -714,15 +576,11 @@ mod tests {
             &pg.snapshot_sdg(&region_opts()),
             &build_sdg(&all, &region_opts()),
         );
-        assert_eq!(revs(&pg.ftg_cache, &t1), ftg_t1);
-        assert_eq!(revs(&pg.sdg_cache, &t1), sdg_t1);
-        assert_ne!(revs(&pg.ftg_cache, &t2), ftg_t2);
-        assert_ne!(revs(&pg.sdg_cache, &t2), sdg_t2);
     }
 
     #[test]
     fn empty_partial_graph_snapshots_empty_graphs() {
-        let mut pg = PartialGraph::new();
+        let pg = PartialGraph::new();
         assert_eq!(pg.snapshot_ftg().nodes.len(), 0);
         assert_eq!(pg.snapshot_sdg(&SdgOptions::default()).nodes.len(), 0);
         assert_eq!(pg.records(), 0);

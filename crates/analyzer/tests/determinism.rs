@@ -80,7 +80,7 @@ fn snapshots_are_identical_to_batch_build() {
         include_regions: true,
         region_count: 4,
     };
-    let mut pg = absorbed(&bundle);
+    let pg = absorbed(&bundle);
     assert!(pg.snapshot_ftg() == build_ftg(&bundle), "FTG diverged");
     assert!(
         pg.snapshot_sdg(&opts) == build_sdg(&bundle, &opts),
@@ -93,7 +93,7 @@ fn repeated_snapshots_are_stable() {
     // Repetition: cached partials must not show either.
     let bundle = synthetic_bundle(4, 25);
     let first = build_ftg(&bundle);
-    let mut pg = absorbed(&bundle);
+    let pg = absorbed(&bundle);
     for _ in 0..5 {
         assert!(pg.snapshot_ftg() == first);
     }

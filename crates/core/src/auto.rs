@@ -161,8 +161,7 @@ fn cp_gated<R>(
             "{label}: predicted critical-path bytes regress ({before} -> {after} B)"
         ));
     }
-    verify::verified_with_oracles(tasks, label, contracts, Some(catalog), f)
-        .map_err(|v| v.to_string())
+    verify::verified(tasks, label, contracts, Some(catalog), f).map_err(|v| v.to_string())
 }
 
 /// Derives and scores an optimized plan for a recorded run on `cluster`.
@@ -337,15 +336,9 @@ pub fn optimize_with_contracts(
                 // `placement` (the transform records it before the check);
                 // harmless, since after rollback no task references the
                 // replica file.
-                match verify::verified_with_oracles(
-                    &mut tasks,
-                    "stage_in",
-                    contracts,
-                    Some(&catalog),
-                    |t| {
-                        transform::stage_in(t, &mut placement, file, bytes, node, TierKind::NvmeSsd)
-                    },
-                ) {
+                match verify::verified(&mut tasks, "stage_in", contracts, Some(&catalog), |t| {
+                    transform::stage_in(t, &mut placement, file, bytes, node, TierKind::NvmeSsd)
+                }) {
                     Ok(_) => {
                         staged.insert(file.clone(), ());
                         applied.push(format!(
@@ -373,7 +366,7 @@ pub fn optimize_with_contracts(
                         .first()
                         .map(|&i| tasks[i].node)
                         .unwrap_or(0);
-                    match verify::verified_with_oracles(
+                    match verify::verified(
                         &mut tasks,
                         "stage_out_async",
                         contracts,
@@ -586,7 +579,7 @@ mod tests {
                 .with_program(vec![SimOp::read("out.h5", 1 << 20)]),
         ];
         let before = tasks.clone();
-        let err = verify::verified(&mut tasks, "parallelize", |t| {
+        let err = verify::verified(&mut tasks, "parallelize", None, None, |t| {
             transform::parallelize(t, "producer", "consumer")
         })
         .unwrap_err();

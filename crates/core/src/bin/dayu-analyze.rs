@@ -73,9 +73,12 @@ use dayu_workflow::{
     RECORD_FLAGS,
 };
 use dayu_workloads::{arldm, ddmd, pyflextrkr};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::PathBuf;
 use std::str::FromStr;
+
+mod out;
+use out::Out;
 
 fn usage() -> ! {
     eprintln!(
@@ -95,50 +98,6 @@ fn usage() -> ! {
 fn usage_error(reason: &str) -> ! {
     eprintln!("{reason}");
     std::process::exit(2);
-}
-
-/// Standard output of every subcommand. A reader that closes the pipe
-/// early (`dayu-analyze trace.dtb | head -1`) ends the output quietly:
-/// later writes are dropped, and the command runs on to the exit code its
-/// result decides. Any other write error prints `<command>: cannot
-/// write: <error>` and exits 1. `writeln!(out, ...)` writes a line.
-struct Out {
-    command: &'static str,
-    closed: bool,
-}
-
-impl Out {
-    fn new(command: &'static str) -> Self {
-        Self {
-            command,
-            closed: false,
-        }
-    }
-
-    /// Runs `write` on stdout, unless the pipe has closed.
-    fn write_with(&mut self, write: impl FnOnce(&mut io::StdoutLock<'static>) -> io::Result<()>) {
-        if self.closed {
-            return;
-        }
-        match write(&mut io::stdout().lock()) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
-            Err(e) => {
-                eprintln!("{}: cannot write: {e}", self.command);
-                std::process::exit(1);
-            }
-        }
-    }
-
-    fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) {
-        self.write_with(|w| w.write_fmt(args));
-    }
-
-    /// Flushes stdout and exits with `code`.
-    fn exit(mut self, code: i32) -> ! {
-        self.write_with(|w| w.flush());
-        std::process::exit(code)
-    }
 }
 
 /// A subcommand's arguments, read front to back: [`Args::flag`] yields the
@@ -1002,11 +961,11 @@ fn main() {
     let [input] = args.exactly();
     let bundle = load_bundle(&PathBuf::from(input));
 
-    let sdg_opts = SdgOptions {
+    let opts = SdgOptions {
         include_regions: regions > 0,
         region_count: regions.max(4),
     };
-    let analysis = Analysis::run_with(&bundle, &sdg_opts, &DetectorConfig::default());
+    let analysis = Analysis::run_with(&bundle, &opts, &DetectorConfig::default());
     let recommendations = dayu_advisor::advise(&analysis.findings);
 
     let mut out = Out::new("dayu-analyze");

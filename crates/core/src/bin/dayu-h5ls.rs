@@ -8,12 +8,20 @@
 //! dayu-h5ls file.h5 --fsck       # structural integrity check first (exit 1 on findings)
 //! dayu-h5ls file.h5 --fsck --repair  # replay the journal + prune damage, rewrite in place
 //! ```
+//!
+//! Output goes through the same handled writer as `dayu-analyze`'s: a
+//! reader that closes the pipe early ends it quietly with the command's
+//! own exit code, and any other write error exits 1 with
+//! `dayu-h5ls: cannot write: …`.
 
 use dayu_hdf::{AttrValue, FileOptions, Group, H5File, LayoutKind};
 use dayu_lint::{fsck_bytes, repair_bytes};
 use dayu_trace::vol::ObjectKind;
 use dayu_vfd::FileVfd;
 use std::path::PathBuf;
+
+mod out;
+use out::Out;
 
 fn usage() -> ! {
     eprintln!("usage: dayu-h5ls <file> [--extents] [--attrs] [--fsck] [--repair]");
@@ -30,24 +38,24 @@ fn fmt_attr(v: &AttrValue) -> String {
     }
 }
 
-fn walk(group: &Group, indent: usize, extents: bool, attrs: bool) {
+fn walk(out: &mut Out, group: &Group, indent: usize, extents: bool, attrs: bool) {
     let pad = "  ".repeat(indent);
     if attrs {
         for a in group.attrs().unwrap_or_default() {
-            println!("{pad}  @{} = {}", a.name, fmt_attr(&a.value));
+            writeln!(out, "{pad}  @{} = {}", a.name, fmt_attr(&a.value));
         }
     }
     for (name, kind) in group.list().unwrap_or_default() {
         match kind {
             ObjectKind::Group => {
-                println!("{pad}{name}/");
+                writeln!(out, "{pad}{name}/");
                 if let Ok(child) = group.open_group(&name) {
-                    walk(&child, indent + 1, extents, attrs);
+                    walk(out, &child, indent + 1, extents, attrs);
                 }
             }
             _ => {
                 let Ok(mut ds) = group.open_dataset(&name) else {
-                    println!("{pad}{name}  <unreadable>");
+                    writeln!(out, "{pad}{name}  <unreadable>");
                     continue;
                 };
                 let layout = match ds.layout() {
@@ -55,27 +63,28 @@ fn walk(group: &Group, indent: usize, extents: bool, attrs: bool) {
                     LayoutKind::Contiguous => "contiguous",
                     LayoutKind::Chunked => "chunked",
                 };
-                println!(
+                writeln!(
+                    out,
                     "{pad}{name}  shape {:?}  {:?}  {layout}",
                     ds.shape(),
                     ds.dtype()
                 );
                 if attrs {
                     for a in ds.attrs().unwrap_or_default() {
-                        println!("{pad}  @{} = {}", a.name, fmt_attr(&a.value));
+                        writeln!(out, "{pad}  @{} = {}", a.name, fmt_attr(&a.value));
                     }
                 }
                 if extents {
                     match ds.extents() {
                         Ok(ext) if ext.is_empty() => {
-                            println!("{pad}  extents: (none allocated)")
+                            writeln!(out, "{pad}  extents: (none allocated)")
                         }
                         Ok(ext) => {
                             for (addr, len) in ext {
-                                println!("{pad}  extent [{addr}, {})", addr + len);
+                                writeln!(out, "{pad}  extent [{addr}, {})", addr + len);
                             }
                         }
-                        Err(e) => println!("{pad}  extents: error: {e}"),
+                        Err(e) => writeln!(out, "{pad}  extents: error: {e}"),
                     }
                 }
                 let _ = ds.close();
@@ -102,6 +111,7 @@ fn main() {
         }
     }
     let Some(path) = path else { usage() };
+    let mut out = Out::new("dayu-h5ls");
     if repair {
         // Journal replay + targeted pruning, in place. The repaired image
         // is only written back when something actually changed.
@@ -110,7 +120,7 @@ fn main() {
             std::process::exit(1);
         });
         let report = repair_bytes(&mut image);
-        print!("{report}");
+        write!(out, "{report}");
         if report.modified() {
             std::fs::write(&path, &image).unwrap_or_else(|e| {
                 eprintln!("cannot write {}: {e}", path.display());
@@ -118,7 +128,7 @@ fn main() {
             });
         }
         if !report.is_clean() {
-            std::process::exit(1);
+            out.exit(1);
         }
     } else if fsck {
         // Run on the raw image before trying to open: a corrupt file may
@@ -129,13 +139,13 @@ fn main() {
         });
         let report = fsck_bytes(&image);
         if report.is_clean() {
-            println!("fsck: clean ({} bytes)", image.len());
+            writeln!(out, "fsck: clean ({} bytes)", image.len());
         } else {
-            println!("fsck: {} finding(s)", report.len());
+            writeln!(out, "fsck: {} finding(s)", report.len());
             for f in &report.findings {
-                println!("  [{}] {f}", f.category());
+                writeln!(out, "  [{}] {f}", f.category());
             }
-            std::process::exit(1);
+            out.exit(1);
         }
     }
     let vfd = FileVfd::open(&path).unwrap_or_else(|e| {
@@ -147,12 +157,14 @@ fn main() {
         eprintln!("not a valid file: {e}");
         std::process::exit(1);
     });
-    println!(
+    writeln!(
+        out,
         "{name}  ({} bytes allocated, {} free)",
         file.eof(),
         file.free_space()
     );
-    println!("/");
-    walk(&file.root(), 1, extents, attrs);
+    writeln!(out, "/");
+    walk(&mut out, &file.root(), 1, extents, attrs);
     let _ = file.close();
+    out.exit(0);
 }

@@ -162,13 +162,9 @@ pub fn diagnose(spec: &WorkflowSpec, fs: &MemFs) -> Result<Diagnosis> {
 }
 
 /// [`diagnose`] with explicit SDG options (e.g. address-region nodes).
-pub fn diagnose_with(spec: &WorkflowSpec, fs: &MemFs, sdg_opts: &SdgOptions) -> Result<Diagnosis> {
+pub fn diagnose_with(spec: &WorkflowSpec, fs: &MemFs, opts: &SdgOptions) -> Result<Diagnosis> {
     let run = dayu_workflow::record(spec, fs)?;
-    let analysis = Analysis::run_with(
-        &run.bundle,
-        sdg_opts,
-        &dayu_analyzer::DetectorConfig::default(),
-    );
+    let analysis = Analysis::run_with(&run.bundle, opts, &dayu_analyzer::DetectorConfig::default());
     let recommendations = dayu_advisor::advise(&analysis.findings);
     Ok(Diagnosis {
         run,

@@ -82,14 +82,11 @@ pub use hazard::{
 };
 pub use hb::TaskHb;
 pub use lifetime::LifetimePass;
-pub use model::{Finding, FindingKey, Report};
+pub use model::{Finding, Report};
 pub use repair::{repair_bytes, RepairReport};
 pub use static_graph::{
     prediction_json, LiveRange, PredictedFlow, PredictedTask, SdgComparison, StaticPrediction,
     TaskAccess, TOP_FOOTPRINT_BYTES,
 };
 pub use symbolic::{ContractCatalog, FootprintOracle, SymCollision, SymFootprint};
-pub use verify::{
-    check, snapshot, snapshot_with, verified, verified_with_contracts, verified_with_extents,
-    verified_with_oracles, PlanSnapshot, SemanticsViolation,
-};
+pub use verify::{verified, SemanticsViolation};

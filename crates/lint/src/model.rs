@@ -4,14 +4,16 @@
 //! findings, each with a stable kebab-case category for aggregation, plus a
 //! [`Report`] collecting them. Unlike the analyzer's findings (which are
 //! *opportunities*), every lint finding is a defect: a plan, trace or file
-//! exhibiting it is unsafe to run, optimize or read.
+//! exhibiting it is unsafe to run, optimize or read. Findings compare and
+//! order by value, every field included; the transform verifier keeps a
+//! plan's findings in a set and diffs the rewritten plan's against it.
 
 use dayu_trace::json::{ToJson, Writer};
 use dayu_trace::to_json;
 use std::fmt;
 
 /// One defect surfaced by a lint pass.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Finding {
     /// Two tasks that may run concurrently both write the same file.
     WriteWriteRace {
@@ -266,23 +268,6 @@ to_json!(enum Finding {
     GraphMismatch { from, to, detail },
 });
 
-/// Structural identity of a finding: category plus the fields that pin it
-/// to a specific defect site, with free-text details (messages, byte
-/// counts that vary run to run) left out. The verifier diffs reports by
-/// key, so two findings describing the same defect compare equal even if
-/// incidental fields differ.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct FindingKey {
-    /// The finding's stable category label.
-    pub category: &'static str,
-    /// Identity fields in variant-specific order (file/task/dataset names).
-    pub parts: Vec<String>,
-    /// Byte span when the variant carries one, else `(0, 0)`.
-    pub span: (u64, u64),
-    /// Variant-specific flag (`write_write`, `undeclared`), else `false`.
-    pub flag: bool,
-}
-
 impl Finding {
     /// Stable category label for aggregation and CLI output.
     pub fn category(&self) -> &'static str {
@@ -306,151 +291,6 @@ impl Finding {
             Finding::ContractViolation { .. } => "contract-violation",
             Finding::IncompleteContract { .. } => "incomplete-contract",
             Finding::GraphMismatch { .. } => "graph-mismatch",
-        }
-    }
-
-    /// Structural identity key (see [`FindingKey`]). Replaces the old
-    /// `format!("{self:?}")` keys, which changed meaning whenever a field
-    /// was renamed or a derive reordered output.
-    pub fn key(&self) -> FindingKey {
-        let mut parts: Vec<String> = Vec::new();
-        let mut span = (0u64, 0u64);
-        let mut flag = false;
-        match self {
-            Finding::WriteWriteRace {
-                file,
-                first,
-                second,
-            } => parts.extend([file.clone(), first.clone(), second.clone()]),
-            Finding::ReadBeforeWrite {
-                file,
-                reader,
-                writers,
-            } => {
-                parts.extend([file.clone(), reader.clone()]);
-                let mut w = writers.clone();
-                w.sort_unstable();
-                parts.extend(w);
-            }
-            Finding::UseAfterDispose {
-                file,
-                reader,
-                disposer,
-            } => parts.extend([file.clone(), reader.clone(), disposer.clone()]),
-            Finding::DanglingFileRef { file, reader } => {
-                parts.extend([file.clone(), reader.clone()]);
-            }
-            Finding::OrderingLost {
-                file,
-                producer,
-                consumer,
-            } => parts.extend([file.clone(), producer.clone(), consumer.clone()]),
-            Finding::SuperblockInvalid { detail } => parts.push(detail.clone()),
-            Finding::ObjectHeaderInvalid { path, addr, detail } => {
-                parts.extend([path.clone(), detail.clone()]);
-                span = (*addr, 0);
-            }
-            Finding::OverlappingExtents {
-                a,
-                a_addr,
-                b,
-                b_addr,
-                ..
-            } => {
-                parts.extend([a.clone(), b.clone()]);
-                span = (*a_addr, *b_addr);
-            }
-            Finding::ChunkEntryOutOfBounds {
-                dataset,
-                ordinal,
-                addr,
-                size,
-                ..
-            } => {
-                parts.extend([dataset.clone(), ordinal.to_string()]);
-                span = (*addr, addr.saturating_add(*size));
-            }
-            Finding::DanglingHeapRef {
-                dataset,
-                block_addr,
-                detail,
-            } => {
-                parts.extend([dataset.clone(), detail.clone()]);
-                span = (*block_addr, 0);
-            }
-            Finding::SharedRawExtent {
-                a_dataset,
-                b_dataset,
-                start,
-                end,
-            } => {
-                parts.extend([a_dataset.clone(), b_dataset.clone()]);
-                span = (*start, *end);
-            }
-            Finding::ExtentRace {
-                file,
-                datasets,
-                first,
-                second,
-                write_write,
-                start,
-                end,
-            } => {
-                parts.extend([file.clone(), first.clone(), second.clone()]);
-                parts.extend(datasets.iter().cloned());
-                span = (*start, *end);
-                flag = *write_write;
-            }
-            Finding::UseAfterClose {
-                file,
-                task,
-                dataset,
-            } => parts.extend([file.clone(), task.clone(), dataset.clone()]),
-            Finding::DeadDataset { file, dataset, .. } => {
-                parts.extend([file.clone(), dataset.clone()]);
-            }
-            Finding::DatasetReadBeforeWrite {
-                file,
-                dataset,
-                reader,
-                ..
-            } => parts.extend([file.clone(), dataset.clone(), reader.clone()]),
-            Finding::RedundantOverwrite {
-                file,
-                dataset,
-                first,
-                second,
-                ..
-            } => parts.extend([file.clone(), dataset.clone(), first.clone(), second.clone()]),
-            Finding::ContractViolation {
-                task,
-                file,
-                dataset,
-                access,
-                start,
-                end,
-                undeclared,
-            } => {
-                parts.extend([task.clone(), file.clone(), dataset.clone(), access.clone()]);
-                span = (*start, *end);
-                flag = *undeclared;
-            }
-            Finding::IncompleteContract {
-                task,
-                file,
-                dataset,
-                access,
-                ..
-            } => parts.extend([task.clone(), file.clone(), dataset.clone(), access.clone()]),
-            Finding::GraphMismatch { from, to, .. } => {
-                parts.extend([from.clone(), to.clone()]);
-            }
-        }
-        FindingKey {
-            category: self.category(),
-            parts,
-            span,
-            flag,
         }
     }
 
@@ -869,37 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn structural_keys_ignore_detail_fields() {
-        let a = Finding::DeadDataset {
-            file: "f".into(),
-            dataset: "/d".into(),
-            writers: vec!["w1".into()],
-            bytes: 100,
-        };
-        let b = Finding::DeadDataset {
-            file: "f".into(),
-            dataset: "/d".into(),
-            writers: vec!["w2".into(), "w3".into()],
-            bytes: 999,
-        };
-        assert_eq!(a.key(), b.key(), "same defect site, different detail");
-        let c = Finding::DeadDataset {
-            file: "f".into(),
-            dataset: "/other".into(),
-            writers: vec![],
-            bytes: 0,
-        };
-        assert_ne!(a.key(), c.key());
-        // Cross-variant keys never collide even with identical parts.
-        let race = Finding::WriteWriteRace {
-            file: "f".into(),
-            first: "/d".into(),
-            second: "x".into(),
-        };
-        assert_ne!(a.key().category, race.key().category);
-    }
-
-    #[test]
     fn contract_violation_displays_both_directions() {
         let undeclared = Finding::ContractViolation {
             task: "t".into(),
@@ -923,7 +732,6 @@ mod tests {
             undeclared: false,
         };
         assert!(waste.to_string().contains("never touched"));
-        assert_ne!(undeclared.key(), waste.key());
     }
 
     #[test]

@@ -5,73 +5,48 @@
 //! verifier pins that down as two invariants checked across each call:
 //!
 //! 1. **No new hazards** — the hazard report of the rewritten plan must
-//!    not contain findings the original plan did not already have.
+//!    not contain findings the original plan did not already have. The
+//!    baseline holds the original plan's findings themselves, compared
+//!    by value: a plan's hazards are write-write races, reads before
+//!    write and uses after dispose, and the transforms only append tasks,
+//!    so a hazard the rewrite leaves alone comes out equal, field for
+//!    field.
 //! 2. **No lost orderings** — every (producer, consumer, file)
 //!    happens-before edge of the original plan must survive, unless the
 //!    transform redirected the consumer away from the file (stage-in
 //!    replicas) or removed one endpoint's access entirely.
 //!
-//! [`verified`] wraps a transform application in snapshot → apply → check
+//! [`verified`] wraps a transform application in baseline → apply → check
 //! and rolls the plan back when the check fails, so an illegal
 //! `parallelize(producer, consumer)` leaves the plan untouched.
 //!
-//! When the snapshot carries a footprint oracle, the check gains
-//! address-level precision in both directions: plan-granularity race
-//! regressions between tasks whose footprints are provably disjoint
-//! are *discharged* (the rewrite is safe even though both touch the
-//! file), while regressions whose footprints really collide are upgraded
-//! to [`Finding::ExtentRace`] with the offending byte range — proof the
-//! rewrite introduces a new extent race. Two oracles exist: the recorded
-//! [`ExtentCatalog`] (dynamics — see [`verified_with_extents`]) and the
-//! declared [`ContractCatalog`]
-//! (semantics — see [`verified_with_contracts`], which needs no recorded
-//! trace at all). A snapshot may carry both; contracts are consulted
-//! first, recorded extents settle whatever the declarations left open.
+//! Given a footprint oracle, the check gains address-level precision in
+//! both directions: plan-granularity race regressions between tasks whose
+//! footprints are provably disjoint are *discharged* (the rewrite is safe
+//! even though both touch the file), while regressions whose footprints
+//! really collide are upgraded to [`Finding::ExtentRace`] with the
+//! offending byte range — proof the rewrite introduces a new extent race.
+//! Two oracles exist, and [`verified`] borrows either, both or neither:
+//! the declared [`ContractCatalog`] (semantics, which needs no recorded
+//! trace at all) and the recorded [`ExtentCatalog`] (dynamics).
+//! Contracts are consulted first, recorded extents settle whatever the
+//! declarations left open.
 
 use crate::extent::ExtentCatalog;
 use crate::hazard::{analyze_sim_tasks, plan_from_sim_tasks, plan_order, Access, LintConfig};
-use crate::model::{Finding, FindingKey, Report};
+use crate::model::{Finding, Report};
 use crate::symbolic::{ContractCatalog, FootprintOracle};
 use dayu_sim::program::SimTask;
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// The hazard/happens-before state of a plan before a transform runs.
-#[derive(Clone, Debug)]
-pub struct PlanSnapshot {
-    /// Structural keys of findings already present before the transform
-    /// (pre-existing defects are not the transform's fault).
-    baseline: BTreeSet<FindingKey>,
-    /// Every (producer, consumer, file) ordering the plan guarantees.
-    orderings: BTreeSet<(String, String, String)>,
-    cfg: LintConfig,
-    /// Recorded per-(task, file) byte extents, when the plan replays a
-    /// recorded trace. Enables extent-level refinement in [`check`].
-    catalog: Option<ExtentCatalog>,
-    /// Declared contract footprints, when the workflow spec carries
-    /// [`IoContract`](dayu_workflow::IoContract)s. Consulted before the
-    /// recorded catalog.
-    contracts: Option<ContractCatalog>,
-}
-
-impl PlanSnapshot {
-    /// Attaches recorded extent ground truth to the snapshot.
-    pub fn with_extents(mut self, catalog: ExtentCatalog) -> Self {
-        self.catalog = Some(catalog);
-        self
-    }
-
-    /// Attaches declared contract footprints to the snapshot.
-    pub fn with_contracts(mut self, contracts: ContractCatalog) -> Self {
-        self.contracts = Some(contracts);
-        self
-    }
-}
+/// Every (producer, consumer, file) ordering a plan guarantees.
+type Orderings = BTreeSet<(String, String, String)>;
 
 /// All (producer, consumer, file) triples where the producer data-writes
 /// the file, the consumer reads it, and the producer happens-before the
 /// consumer.
-fn orderings(tasks: &[SimTask]) -> BTreeSet<(String, String, String)> {
+fn orderings(tasks: &[SimTask]) -> Orderings {
     let plan = plan_from_sim_tasks(tasks);
     let hb = plan_order(&plan);
     let mut out = BTreeSet::new();
@@ -114,35 +89,22 @@ fn writes_file(tasks: &[SimTask], name: &str, file: &str) -> bool {
     })
 }
 
-/// Snapshots a plan with the default (permissive) hazard config.
-pub fn snapshot(tasks: &[SimTask]) -> PlanSnapshot {
-    snapshot_with(tasks, LintConfig::default())
-}
-
-/// Snapshots a plan with an explicit hazard config.
-pub fn snapshot_with(tasks: &[SimTask], cfg: LintConfig) -> PlanSnapshot {
-    let report = analyze_sim_tasks(tasks, &cfg);
-    PlanSnapshot {
-        baseline: report.findings.iter().map(Finding::key).collect(),
-        orderings: orderings(tasks),
-        cfg,
-        catalog: None,
-        contracts: None,
-    }
-}
-
-/// Checks a rewritten plan against its pre-transform snapshot. The report
-/// holds only *regressions*: hazards absent from the baseline, plus an
+/// The regressions of a rewritten plan against the original plan's
+/// findings and orderings: hazards absent from `baseline`, plus an
 /// [`Finding::OrderingLost`] for every broken producer→consumer edge
-/// whose endpoints still access the file.
-pub fn check(snap: &PlanSnapshot, after: &[SimTask]) -> Report {
-    let mut report = analyze_sim_tasks(after, &snap.cfg);
-    report
-        .findings
-        .retain(|f| !snap.baseline.contains(&f.key()));
+/// whose endpoints still access the file, then refined by each oracle
+/// given.
+fn regressions(
+    baseline: &BTreeSet<Finding>,
+    before: &Orderings,
+    after: &[SimTask],
+    contracts: Option<&ContractCatalog>,
+    extents: Option<&ExtentCatalog>,
+) -> Report {
+    let mut report = analyze_sim_tasks(after, &LintConfig::default());
+    report.findings.retain(|f| !baseline.contains(f));
 
-    let now = orderings(after);
-    for (producer, consumer, file) in snap.orderings.difference(&now) {
+    for (producer, consumer, file) in before.difference(&orderings(after)) {
         // A redirected read (stage-in replica) or a removed access is a
         // legitimate rewrite; a surviving read/write pair without the
         // edge is a reorder.
@@ -156,11 +118,11 @@ pub fn check(snap: &PlanSnapshot, after: &[SimTask]) -> Report {
     }
     // Semantics first, dynamics second: declarations discharge what they
     // can, recorded extents settle the rest.
-    if let Some(contracts) = &snap.contracts {
+    if let Some(contracts) = contracts {
         report = refine_with_oracle(report, contracts);
     }
-    if let Some(cat) = &snap.catalog {
-        report = refine_with_oracle(report, cat);
+    if let Some(extents) = extents {
+        report = refine_with_oracle(report, extents);
     }
     report
 }
@@ -266,75 +228,29 @@ impl fmt::Display for SemanticsViolation {
 
 impl std::error::Error for SemanticsViolation {}
 
-/// Applies a transform under verification: snapshot, apply, check. On
-/// violation the plan is restored to its pre-transform state and the
-/// regressions are returned as the error.
+/// Applies a transform under verification: record the plan's findings
+/// and orderings, apply, check. `contracts` and `extents` are the
+/// footprint oracles the check consults, declared contracts first: a
+/// rewrite that makes two tasks concurrent is accepted when their
+/// footprints on the shared file are provably disjoint, and rejected with
+/// a [`Finding::ExtentRace`] when they actually collide. On violation the
+/// plan is restored to its pre-transform state and the regressions are
+/// returned as the error.
 pub fn verified<R>(
     tasks: &mut Vec<SimTask>,
     transform: &str,
-    apply: impl FnOnce(&mut Vec<SimTask>) -> R,
-) -> Result<R, SemanticsViolation> {
-    let snap = snapshot(tasks);
-    run_verified(snap, tasks, transform, apply)
-}
-
-/// [`verified`], refined by recorded byte extents: a rewrite that makes
-/// two tasks concurrent is accepted when their recorded extents on the
-/// shared file are provably disjoint, and rejected with a
-/// [`Finding::ExtentRace`] when they actually collide.
-pub fn verified_with_extents<R>(
-    tasks: &mut Vec<SimTask>,
-    transform: &str,
-    catalog: &ExtentCatalog,
-    apply: impl FnOnce(&mut Vec<SimTask>) -> R,
-) -> Result<R, SemanticsViolation> {
-    let snap = snapshot(tasks).with_extents(catalog.clone());
-    run_verified(snap, tasks, transform, apply)
-}
-
-/// [`verified`], refined by *declared* contract footprints alone: a
-/// rewrite that makes two tasks concurrent is accepted when their
-/// declared extents on the shared file are provably disjoint — no
-/// recorded trace required. The static half of the paper's
-/// semantics+dynamics split.
-pub fn verified_with_contracts<R>(
-    tasks: &mut Vec<SimTask>,
-    transform: &str,
-    contracts: &ContractCatalog,
-    apply: impl FnOnce(&mut Vec<SimTask>) -> R,
-) -> Result<R, SemanticsViolation> {
-    let snap = snapshot(tasks).with_contracts(contracts.clone());
-    run_verified(snap, tasks, transform, apply)
-}
-
-/// [`verified`] with both oracles: declared contracts are consulted
-/// first, recorded extents second. Either may be absent.
-pub fn verified_with_oracles<R>(
-    tasks: &mut Vec<SimTask>,
-    transform: &str,
     contracts: Option<&ContractCatalog>,
-    catalog: Option<&ExtentCatalog>,
+    extents: Option<&ExtentCatalog>,
     apply: impl FnOnce(&mut Vec<SimTask>) -> R,
 ) -> Result<R, SemanticsViolation> {
-    let mut snap = snapshot(tasks);
-    if let Some(c) = contracts {
-        snap = snap.with_contracts(c.clone());
-    }
-    if let Some(c) = catalog {
-        snap = snap.with_extents(c.clone());
-    }
-    run_verified(snap, tasks, transform, apply)
-}
-
-fn run_verified<R>(
-    snap: PlanSnapshot,
-    tasks: &mut Vec<SimTask>,
-    transform: &str,
-    apply: impl FnOnce(&mut Vec<SimTask>) -> R,
-) -> Result<R, SemanticsViolation> {
+    let baseline: BTreeSet<Finding> = analyze_sim_tasks(tasks, &LintConfig::default())
+        .findings
+        .into_iter()
+        .collect();
+    let before = orderings(tasks);
     let saved = tasks.clone();
     let out = apply(tasks);
-    let report = check(&snap, tasks);
+    let report = regressions(&baseline, &before, tasks, contracts, extents);
     if report.is_clean() {
         Ok(out)
     } else {
@@ -366,7 +282,7 @@ mod tests {
     #[test]
     fn co_schedule_is_semantics_preserving() {
         let mut tasks = chain();
-        verified(&mut tasks, "co_schedule", |t| {
+        verified(&mut tasks, "co_schedule", None, None, |t| {
             transform::co_schedule(t, "producer", "consumer")
         })
         .unwrap();
@@ -377,7 +293,7 @@ mod tests {
     fn stage_in_is_semantics_preserving() {
         let mut tasks = chain();
         let mut placement = Placement::new();
-        let staged = verified(&mut tasks, "stage_in", |t| {
+        let staged = verified(&mut tasks, "stage_in", None, None, |t| {
             transform::stage_in(t, &mut placement, "f.h5", 1 << 20, 0, TierKind::NvmeSsd)
         })
         .unwrap();
@@ -388,7 +304,7 @@ mod tests {
     #[test]
     fn stage_out_is_semantics_preserving() {
         let mut tasks = chain();
-        verified(&mut tasks, "stage_out_async", |t| {
+        verified(&mut tasks, "stage_out_async", None, None, |t| {
             transform::stage_out_async(t, "f.h5", 1 << 20, 0)
         })
         .unwrap();
@@ -399,7 +315,7 @@ mod tests {
     fn illegal_parallelize_is_rejected_and_rolled_back() {
         let mut tasks = chain();
         let before = tasks.clone();
-        let err = verified(&mut tasks, "parallelize", |t| {
+        let err = verified(&mut tasks, "parallelize", None, None, |t| {
             transform::parallelize(t, "producer", "consumer")
         })
         .unwrap_err();
@@ -427,7 +343,7 @@ mod tests {
                 .after(&[1])
                 .with_program(vec![SimOp::read("traj", 100)]),
         ];
-        verified(&mut tasks, "parallelize", |t| {
+        verified(&mut tasks, "parallelize", None, None, |t| {
             transform::parallelize(t, "train", "infer")
         })
         .unwrap();
@@ -465,7 +381,7 @@ mod tests {
         // so breaking the barrier is provably safe.
         let mut tasks = chain();
         let cat = catalog((0, 100), (4096, 100));
-        verified_with_extents(&mut tasks, "parallelize", &cat, |t| {
+        verified(&mut tasks, "parallelize", None, Some(&cat), |t| {
             transform::parallelize(t, "producer", "consumer")
         })
         .unwrap();
@@ -477,7 +393,7 @@ mod tests {
         let mut tasks = chain();
         let before = tasks.clone();
         let cat = catalog((0, 100), (50, 100));
-        let err = verified_with_extents(&mut tasks, "parallelize", &cat, |t| {
+        let err = verified(&mut tasks, "parallelize", None, Some(&cat), |t| {
             transform::parallelize(t, "producer", "consumer")
         })
         .unwrap_err();
@@ -524,7 +440,7 @@ mod tests {
         // consumer reads a region the producer never writes.
         let mut tasks = chain();
         let cat = contracts((0, 100), (4096, 4196));
-        verified_with_contracts(&mut tasks, "parallelize", &cat, |t| {
+        verified(&mut tasks, "parallelize", Some(&cat), None, |t| {
             transform::parallelize(t, "producer", "consumer")
         })
         .unwrap();
@@ -536,7 +452,7 @@ mod tests {
         let mut tasks = chain();
         let before = tasks.clone();
         let cat = contracts((0, 100), (50, 150));
-        let err = verified_with_contracts(&mut tasks, "parallelize", &cat, |t| {
+        let err = verified(&mut tasks, "parallelize", Some(&cat), None, |t| {
             transform::parallelize(t, "producer", "consumer")
         })
         .unwrap_err();
@@ -561,7 +477,7 @@ mod tests {
         let mut tasks = chain();
         let declared = ContractCatalog::default();
         let recorded = catalog((0, 100), (4096, 100));
-        verified_with_oracles(
+        verified(
             &mut tasks,
             "parallelize",
             Some(&declared),
@@ -578,7 +494,7 @@ mod tests {
         // the plan-level rejection must stand.
         let mut tasks = chain();
         let cat = ExtentCatalog::default();
-        assert!(verified_with_extents(&mut tasks, "parallelize", &cat, |t| {
+        assert!(verified(&mut tasks, "parallelize", None, Some(&cat), |t| {
             transform::parallelize(t, "producer", "consumer")
         })
         .is_err());
@@ -591,9 +507,36 @@ mod tests {
             SimTask::new("w1").with_program(vec![SimOp::write("shared", 1)]),
             SimTask::new("w2").with_program(vec![SimOp::write("shared", 1)]),
         ];
-        verified(&mut tasks, "co_schedule", |t| {
+        verified(&mut tasks, "co_schedule", None, None, |t| {
             transform::co_schedule(t, "w1", "w2")
         })
         .unwrap();
+
+        // Every plan-level kind at once: the race, a read before either
+        // of two writers, and a read after the file's stage-out.
+        let mut tasks = vec![
+            SimTask::new("w1").with_program(vec![SimOp::write("shared", 1)]),
+            SimTask::new("w2").with_program(vec![SimOp::write("shared", 1)]),
+            SimTask::new("eager").with_program(vec![SimOp::read("shared", 1)]),
+            SimTask::new("stage_out:out"),
+            SimTask::new("late")
+                .after(&[3])
+                .with_program(vec![SimOp::read("out", 1)]),
+        ];
+        let before = analyze_sim_tasks(&tasks, &LintConfig::default()).findings;
+        let kinds: BTreeSet<&str> = before.iter().map(Finding::category).collect();
+        assert_eq!(
+            kinds,
+            BTreeSet::from(["read-before-write", "use-after-dispose", "write-write-race"])
+        );
+        assert!(before.iter().any(|f| matches!(
+            f,
+            Finding::ReadBeforeWrite { writers, .. } if writers.len() == 2
+        )));
+        verified(&mut tasks, "co_schedule", None, None, |t| {
+            transform::co_schedule(t, "w1", "eager")
+        })
+        .unwrap();
+        assert_eq!(tasks[2].node, tasks[0].node);
     }
 }

@@ -281,7 +281,7 @@ fn illegal_parallelize_on_recorded_plan_is_rejected() {
             .with_program(vec![SimOp::read("traj.h5", 1 << 20)]),
     ];
     let before = tasks.clone();
-    let err = verified(&mut tasks, "parallelize", |t| {
+    let err = verified(&mut tasks, "parallelize", None, None, |t| {
         transform::parallelize(t, "sim", "train")
     })
     .unwrap_err();

@@ -674,12 +674,29 @@ fn read_file<F: Fields>(f: &mut F, t: &Table) -> Result<FileRecord, F::Err> {
     })
 }
 
-/// Reads a section's magic and string table.
+/// Reads a section's magic and string table. Input that ends inside the
+/// magic is bad magic unless it holds the magic's own first bytes; then
+/// it is a trace cut short, an `UnexpectedEof` at the cut.
 fn read_header<R: BufRead>(r: &mut R) -> io::Result<(u8, Table)> {
     let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if magic[..7] != MAGIC[..7] {
+    let mut got = 0;
+    while got < magic.len() {
+        match r.read(&mut magic[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    let known = got.min(7);
+    if magic[..known] != MAGIC[..known] {
         return Err(bad("not a DaYu binary trace (bad magic)"));
+    }
+    if got < magic.len() {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("truncated .dtb magic ({got} of {} bytes)", magic.len()),
+        ));
     }
     let version = magic[7];
     if !(VERSION_V1..=MAGIC[7]).contains(&version) {
@@ -862,6 +879,40 @@ mod tests {
     fn bad_magic_rejected() {
         let err = TraceBundle::load(&b"{\"Meta\":{}}"[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn input_shorter_than_the_magic() {
+        // Alone or after a whole section, and read a byte at a time:
+        // bytes that leave the magic are bad magic, a cut magic is a
+        // truncation.
+        let section = TraceBundle::new("wf").to_binary_bytes();
+        for prefix in [&[][..], &section[..]] {
+            for (tail, kind, message) in [
+                (
+                    &b"abc"[..],
+                    io::ErrorKind::InvalidData,
+                    "not a DaYu binary trace (bad magic)",
+                ),
+                (
+                    &[MAGIC[0], b'D', b'X'][..],
+                    io::ErrorKind::InvalidData,
+                    "not a DaYu binary trace (bad magic)",
+                ),
+                (
+                    &MAGIC[..5],
+                    io::ErrorKind::UnexpectedEof,
+                    "truncated .dtb magic (5 of 8 bytes)",
+                ),
+            ] {
+                let bytes = [prefix, tail].concat();
+                for capacity in [1, 8192] {
+                    let r = io::BufReader::with_capacity(capacity, &bytes[..]);
+                    let err = TraceBundle::load(r).unwrap_err();
+                    assert_eq!((err.kind(), err.to_string().as_str()), (kind, message));
+                }
+            }
+        }
     }
 
     #[test]

@@ -199,7 +199,7 @@ mod tests {
     /// decode result of its every prefix and single-bit flip.
     const PINNED_FRAMES: [&str; 2] = [
         "2afaa3ba980c6f48536c26df5a26820d441ce414133de8179fe879b7a7498468",
-        "63376080e060be5ae718c60943d92cbece292eeb3e6d9d8c411a8b82b6ad3b66",
+        "94cd84b0325b4deb5886daea2708833b0c73a383ac6942724991816fa61b3200",
     ];
 
     /// A v4 section with a frame of every kind: a meta frame with stages,

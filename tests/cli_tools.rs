@@ -79,6 +79,70 @@ fn dayu_h5ls_lists_a_real_file() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
+/// `dayu-h5ls` writes through `dayu-analyze`'s handled writer: a reader
+/// that closes the pipe after one line ends the listing quietly with the
+/// command's own exit code, and a full device exits 1 naming the command.
+#[test]
+fn dayu_h5ls_output_stops_quietly_when_the_reader_closes_the_pipe() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+
+    // 4096 chunks, one `extent` line each: over 100 KiB of listing, more
+    // than any default pipe buffers, so its writes outlast the reader.
+    let dir = tmp_dir("h5ls-pipe");
+    let path = dir.join("many_chunks.h5");
+    {
+        let vfd = dayu_core::vfd::FileVfd::create(&path).unwrap();
+        let f = H5File::create(vfd, "many_chunks.h5", FileOptions::default()).unwrap();
+        let mut ds = f
+            .root()
+            .create_dataset(
+                "line",
+                DatasetBuilder::new(DataType::Int { width: 1 }, &[1 << 16]).chunks(&[16]),
+            )
+            .unwrap();
+        ds.write(&vec![7; 1 << 16]).unwrap();
+        ds.close().unwrap();
+        f.close().unwrap();
+    }
+    let path = path.to_str().unwrap();
+    for args in [
+        vec![path, "--extents", "--attrs"],
+        vec![path, "--fsck", "--extents"],
+    ] {
+        let mut child = Command::new(bin("dayu-h5ls"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut line = String::new();
+        // The reader is dropped, and the pipe closed, after one line.
+        std::io::BufReader::new(child.stdout.take().unwrap())
+            .read_line(&mut line)
+            .unwrap();
+        assert!(!line.is_empty(), "{args:?}");
+        let out = child.wait_with_output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(err.is_empty(), "{args:?}: {err}");
+    }
+
+    // A full device is an error, not a closed reader.
+    if let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") {
+        let out = Command::new(bin("dayu-h5ls"))
+            .args([path, "--extents"])
+            .stdout(full)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{err}");
+        assert!(err.starts_with("dayu-h5ls: cannot write: "), "{err}");
+    }
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 #[test]
 fn dayu_h5ls_rejects_garbage() {
     let dir = tmp_dir("h5ls-bad");
@@ -827,6 +891,35 @@ fn dayu_analyze_rejects_missing_and_garbage_input() {
     let out = Command::new(bin("dayu-analyze")).arg(&p).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot parse"));
+
+    // Input shorter than the 8-byte magic: bytes that leave the magic are
+    // bad magic, a real trace cut inside it is a truncated magic.
+    let trace = dayu_trace::TraceBundle::new("short_wf").to_binary_bytes();
+    for (name, bytes, why) in [
+        (
+            "abc.dtb",
+            &b"abc"[..],
+            "not a DaYu binary trace (bad magic)",
+        ),
+        (
+            "cut.dtb",
+            &trace[..5],
+            "truncated .dtb magic (5 of 8 bytes)",
+        ),
+    ] {
+        let p = dir.join(name);
+        std::fs::write(&p, bytes).unwrap();
+        let path = p.to_str().unwrap();
+        for args in [vec![path], vec!["check", path]] {
+            let out = Command::new(bin("dayu-analyze"))
+                .args(&args)
+                .output()
+                .unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert_eq!(err, format!("cannot parse {path}: {why}\n"), "{args:?}");
+        }
+    }
     std::fs::remove_dir_all(dir).unwrap();
 }
 

@@ -26,11 +26,19 @@
 //! building or to a detector that alters any output on a recorded trace
 //! changes a digest. On every one of them, `Analysis::run` must also
 //! build the graphs `build_ftg` and `build_sdg` build.
+//!
+//! `AUTO` pins `dayu_core::auto::optimize` on the `ddmd` and
+//! `pyflextrkr` runs, on a two-node GPU cluster: the actions applied,
+//! the advisories, the rewrites the semantics verifier rejected (with
+//! the regressions it named), the cost model's candidate scores, and the
+//! predicted critical-path bytes and simulated makespan of the result.
 
 use dayu_advisor::advise;
 use dayu_analyzer::{build_ftg, build_sdg, run_detectors, Analysis, DetectorConfig, SdgOptions};
+use dayu_core::auto::optimize;
 use dayu_core::mapper::{Mapper, MapperConfig};
-use dayu_core::workflow::{record_opts, RecordOptions};
+use dayu_core::sim::cluster::Cluster;
+use dayu_core::workflow::{record_opts, RecordOptions, RecordedRun};
 use dayu_core::workloads::{arldm, ddmd, pyflextrkr};
 use dayu_hdf::{DataType, DatasetBuilder, H5File, HdfError, Selection};
 use dayu_trace::sha256::{hex, sha256};
@@ -218,6 +226,51 @@ const ANALYSIS: &[(&str, &str)] = &[
     ),
 ];
 
+/// Digests of `auto::optimize`'s outcome on each run, keyed
+/// `run.output`.
+const AUTO: &[(&str, &str)] = &[
+    (
+        "ddmd.applied",
+        "893279e81c3a6378c6099fd334e70067ceb2579342b9af46f5c44fba2cda431f",
+    ),
+    (
+        "ddmd.advisories",
+        "bd15e44d888cfc8db83f5a79ae3eb701d02c888b1566920cbea38198be08eefb",
+    ),
+    (
+        "ddmd.rejected",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    (
+        "ddmd.plan_scores",
+        "7dc07eff00a3f106aa4aa2c197b74ee9150c879eae28580ff41cc7b7eea45fef",
+    ),
+    (
+        "ddmd.predicted",
+        "e1ee25510f71b2869e38771af9750195a4b9f720ed5d8a8b73e3408ca5063f94",
+    ),
+    (
+        "pyflextrkr.applied",
+        "1f7d263860acff404f4ee8dfdd933da3abc6de580df0fb3f19e98f56f5219738",
+    ),
+    (
+        "pyflextrkr.advisories",
+        "8d6437105a560d597bc5714093472df9f8054803a7a8a5fb9d7abcdf41350134",
+    ),
+    (
+        "pyflextrkr.rejected",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    (
+        "pyflextrkr.plan_scores",
+        "5cfdc3c4769cb283629fa71532eece5e2aa10e6ee6c9d7d5aec45bf65891ab2d",
+    ),
+    (
+        "pyflextrkr.predicted",
+        "96f5fdbab7cbc10be44dfd845a4ba82b6fcdc297fb2edae4da84def468f0274d",
+    ),
+];
+
 /// The corner case on a manual clock: 50 datasets of 64 bytes, 500
 /// reopen/read/close cycles, one open of a name the file lacks.
 fn corner_case() -> TraceBundle {
@@ -262,21 +315,31 @@ fn corner_case() -> TraceBundle {
     mapper.into_bundle()
 }
 
-/// A workflow recorded with a manual clock.
-fn record_manual(spec: &dayu_core::workflow::WorkflowSpec) -> TraceBundle {
+/// A workflow run with a manual clock.
+fn run_manual(spec: &dayu_core::workflow::WorkflowSpec) -> RecordedRun {
     let opts = RecordOptions {
         manual_clock: true,
         ..Default::default()
     };
-    record_opts(spec, &MemFs::new(), &opts).unwrap().bundle
+    record_opts(spec, &MemFs::new(), &opts).unwrap()
+}
+
+/// A workflow's trace, recorded with a manual clock.
+fn record_manual(spec: &dayu_core::workflow::WorkflowSpec) -> TraceBundle {
+    run_manual(spec).bundle
+}
+
+/// `ddmd` with 2 iterations, run with a manual clock.
+fn ddmd_two_iterations_run() -> RecordedRun {
+    run_manual(&ddmd::workflow(&ddmd::DdmdConfig {
+        iterations: 2,
+        ..Default::default()
+    }))
 }
 
 /// `ddmd` with 2 iterations, recorded with a manual clock.
 fn ddmd_two_iterations() -> TraceBundle {
-    record_manual(&ddmd::workflow(&ddmd::DdmdConfig {
-        iterations: 2,
-        ..Default::default()
-    }))
+    ddmd_two_iterations_run().bundle
 }
 
 /// Chunked sweeps on a manual clock: a 1-D dataset of 64 chunks of
@@ -397,6 +460,39 @@ fn analysis_of_recorded_traces_matches_pinned_digests() {
     }
     let got: Vec<(&str, String)> = got.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
     assert_pinned(&got, ANALYSIS, "analysis outputs");
+}
+
+#[test]
+fn auto_optimize_of_recorded_runs_matches_pinned_digests() {
+    let cluster = Cluster::gpu_cluster(2);
+    let mut got: Vec<(String, String)> = Vec::new();
+    for (name, run) in [
+        ("ddmd", ddmd_two_iterations_run()),
+        (
+            "pyflextrkr",
+            run_manual(&pyflextrkr::workflow_with_inputs(&Default::default())),
+        ),
+    ] {
+        let out = optimize(&run, &cluster).unwrap();
+        let mut pin = |output: &str, text: String| {
+            got.push((format!("{name}.{output}"), hex(&sha256(text.as_bytes()))));
+        };
+        pin("applied", format!("{:?}", out.applied));
+        pin("advisories", format!("{:?}", out.advisories));
+        pin("rejected", format!("{:?}", out.rejected));
+        pin("plan_scores", format!("{:?}", out.plan_scores));
+        pin(
+            "predicted",
+            format!(
+                "{} {} {}",
+                out.predicted_baseline_cp_bytes,
+                out.predicted_plan_cp_bytes,
+                out.optimized.makespan_ns
+            ),
+        );
+    }
+    let got: Vec<(&str, String)> = got.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+    assert_pinned(&got, AUTO, "auto::optimize outcomes");
 }
 
 /// Asserts `got` equals `pinned`; on a mismatch the message lists `got`

@@ -217,7 +217,7 @@ fn soak_quarantines_exactly_and_keeps_healthy_graphs_identical() {
         "corruption rate under 5%: {corrupt_sent}/{total_sections}"
     );
 
-    let sdg_opts = SdgOptions {
+    let opts = SdgOptions {
         include_regions: true,
         region_count: 4,
     };
@@ -237,8 +237,8 @@ fn soak_quarantines_exactly_and_keeps_healthy_graphs_identical() {
         let batch_ftg = build_ftg(reference);
         assert_eq!(live_ftg.nodes, batch_ftg.nodes, "{workflow} FTG nodes");
         assert_eq!(live_ftg.edges, batch_ftg.edges, "{workflow} FTG edges");
-        let live_sdg = served.snapshot_sdg(&workflow, &sdg_opts).unwrap();
-        let batch_sdg = build_sdg(reference, &sdg_opts);
+        let live_sdg = served.snapshot_sdg(&workflow, &opts).unwrap();
+        let batch_sdg = build_sdg(reference, &opts);
         assert_eq!(live_sdg.nodes, batch_sdg.nodes, "{workflow} SDG nodes");
         assert_eq!(live_sdg.edges, batch_sdg.edges, "{workflow} SDG edges");
     }

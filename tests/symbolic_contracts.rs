@@ -6,8 +6,7 @@
 
 use dayu_core::workloads::corner_case;
 use dayu_lint::{
-    analyze_contracts, check_conformance, verified_with_contracts, ContractCatalog, Finding,
-    LintConfig,
+    analyze_contracts, check_conformance, verified, ContractCatalog, Finding, LintConfig,
 };
 use dayu_sim::{SimOp, SimTask};
 use dayu_vfd::MemFs;
@@ -43,7 +42,7 @@ fn disjoint_parallelize_is_discharged_from_contracts_alone() {
     // discharged by proven disjointness, with nothing ever recorded.
     let contracts = ContractCatalog::from_spec(&spec);
     let mut plan = serialized_writers();
-    verified_with_contracts(&mut plan, "parallelize", &contracts, |t| {
+    verified(&mut plan, "parallelize", Some(&contracts), None, |t| {
         transform::parallelize(t, "chunk_writer_0", "chunk_writer_1")
     })
     .expect("declared disjoint partitions must discharge the barrier removal");
@@ -58,7 +57,7 @@ fn overlapping_contracts_reject_the_same_parallelize() {
     let contracts = ContractCatalog::from_spec(&corner_case::racy_workflow(2, 512));
     let mut plan = serialized_writers();
     let before = plan.clone();
-    let err = verified_with_contracts(&mut plan, "parallelize", &contracts, |t| {
+    let err = verified(&mut plan, "parallelize", Some(&contracts), None, |t| {
         transform::parallelize(t, "chunk_writer_0", "chunk_writer_1")
     })
     .unwrap_err();
