@@ -15,15 +15,19 @@
 //! A section is absorbed in one pass. [`PartialGraph::absorb_owned`]
 //! takes the decoded section by value and moves its records to their
 //! tasks; a record vector that names one task becomes that task's empty
-//! slot whole. The ingest service decodes each section only to absorb
-//! it, so nothing is copied. [`PartialGraph::absorb`] and
-//! [`PartialGraph::absorb_unique`] clone the section they borrow and
-//! delegate. Every [`TraceBundle::split_per_task`] section repeats the
-//! full meta; after the first, its order is a prefix of the merged one,
-//! which [`TraceMeta::merge`] leaves alone without hashing it, and only
-//! the tasks a merge appends become new task nodes. Sections are
-//! deduplicated by content digest ([`PartialGraph::absorb_unique`]) so a
-//! client retrying over a flaky connection cannot double-count records.
+//! slot whole. [`PartialGraph::absorb`] and [`PartialGraph::absorb_unique`]
+//! clone the section they borrow and delegate. Every
+//! [`TraceBundle::split_per_task`] section repeats the full meta; after
+//! the first, its order is a prefix of the merged one, which
+//! [`TraceMeta::merge`] leaves alone without hashing it, and only the
+//! tasks a merge appends become new task nodes. The ingest service
+//! decodes each section through its tenant's
+//! [`HeaderMemo`](dayu_trace::HeaderMemo) only to absorb it
+//! ([`PartialGraph::absorb_unique_shared`]): the records move in, and the
+//! meta, which the memo shares between sections, merges by reference.
+//! Sections are deduplicated by content digest
+//! ([`PartialGraph::absorb_unique`]) so a client retrying over a flaky
+//! connection cannot double-count records.
 //!
 //! ## Equivalence contract
 //!
@@ -42,8 +46,8 @@ use dayu_trace::sha256::Digest;
 use dayu_trace::store::{TraceBundle, TraceMeta};
 use dayu_trace::vfd::{FileRecord, VfdRecord};
 use dayu_trace::vol::VolRecord;
-use dayu_trace::{Symbol, SymbolMap, TaskKey};
-use std::collections::{HashMap, HashSet};
+use dayu_trace::{SharedSection, Symbol, SymbolMap, SymbolSet, TaskKey};
+use std::collections::HashSet;
 
 /// Records retained for one task, in arrival (= within-task record) order.
 #[derive(Default)]
@@ -58,7 +62,7 @@ struct TaskState {
 pub struct PartialGraph {
     meta: TraceMeta,
     saw_meta: bool,
-    tasks: HashMap<TaskKey, TaskState>,
+    tasks: SymbolMap<TaskKey, TaskState>,
     /// Record-bearing tasks in first-arrival order (straggler ordering).
     arrival: Vec<TaskKey>,
     vfd_total: usize,
@@ -66,15 +70,16 @@ pub struct PartialGraph {
     /// Running [`Self::retained_bytes`].
     retained: usize,
     /// Tasks named in `task_order` or by any record: the FTG's task nodes.
-    task_nodes: HashSet<Symbol>,
+    task_nodes: SymbolSet<Symbol>,
     /// Files named by any FileRecord: the FTG's file nodes while no VFD
     /// record has arrived.
-    record_files: HashSet<Symbol>,
+    record_files: SymbolSet<Symbol>,
     /// Observed per-file extents (region geometry for SDG region mode).
     /// Its keys are the files of data-moving VFD records: the FTG's file
     /// nodes once any VFD record has arrived.
     file_extent: SymbolMap<Symbol, u64>,
     /// Digests of sections already absorbed via [`Self::absorb_unique`].
+    /// Keyed by std's seeded hasher: they are digests of untrusted bytes.
     digests: HashSet<Digest>,
 }
 
@@ -143,26 +148,10 @@ impl PartialGraph {
     /// its records to their tasks. Each run of consecutive same-task
     /// records is moved with one task lookup; a record vector that names
     /// one task moves whole into that task's empty slot.
-    pub fn absorb_owned(&mut self, section: TraceBundle) {
-        self.retained += Self::section_bytes(&section);
-        let TraceBundle {
-            meta,
-            vol,
-            vfd,
-            files,
-        } = section;
-        self.absorb_meta(meta);
-        for r in vfd.iter().filter(|r| r.kind.moves_data()) {
-            let e = self.file_extent.entry(r.file.symbol()).or_default();
-            *e = (*e).max(r.offset.saturating_add(r.len));
-        }
-        self.vfd_total += vfd.len();
-        self.record_files
-            .extend(files.iter().map(|r| r.file.symbol()));
-        self.record_total += vfd.len() + vol.len() + files.len();
-        self.append(vfd, |r| &r.task, |s| &mut s.vfd);
-        self.append(vol, |r| &r.task, |s| &mut s.vol);
-        self.append(files, |r| &r.task, |s| &mut s.files);
+    pub fn absorb_owned(&mut self, mut section: TraceBundle) {
+        let bytes = Self::section_bytes(&section);
+        let meta = std::mem::take(&mut section.meta);
+        self.absorb_records(&meta, section, bytes);
     }
 
     /// [`Self::absorb_owned`] of a copy of `section`.
@@ -170,22 +159,37 @@ impl PartialGraph {
         self.absorb_owned(section.clone());
     }
 
-    /// Absorbs the section unless an identical one (by content digest) was
-    /// absorbed before; returns whether it was new. The digest is the
-    /// wire-level SHA-256 of the encoded section, computed by the caller
-    /// (the ingest service checks it against the frame header anyway).
-    pub fn absorb_unique_owned(&mut self, digest: Digest, section: TraceBundle) -> bool {
+    /// Absorbs a copy of the section unless an identical one (by content
+    /// digest) was absorbed before; returns whether it was new. The digest
+    /// is the wire-level SHA-256 of the encoded section, computed by the
+    /// caller (the ingest service checks it against the frame header
+    /// anyway).
+    pub fn absorb_unique(&mut self, digest: Digest, section: &TraceBundle) -> bool {
         let new = self.digests.insert(digest);
         if new {
-            self.absorb_owned(section);
+            self.absorb_owned(section.clone());
         }
         new
     }
 
-    /// [`Self::absorb_unique_owned`] of a copy of `section`, made only if
-    /// the section is new.
-    pub fn absorb_unique(&mut self, digest: Digest, section: &TraceBundle) -> bool {
-        !self.digests.contains(&digest) && self.absorb_unique_owned(digest, section.clone())
+    /// [`Self::absorb_unique`] of a section decoded through a
+    /// [`HeaderMemo`](dayu_trace::HeaderMemo), without the copy: the
+    /// records move in and the shared meta merges by reference, which for
+    /// a repeated header is one prefix check. `bytes` is the section's
+    /// [`Self::section_bytes`], which the caller has already counted
+    /// against its budgets.
+    pub fn absorb_unique_shared(
+        &mut self,
+        digest: Digest,
+        section: SharedSection,
+        bytes: usize,
+    ) -> bool {
+        debug_assert_eq!(bytes, Self::section_bytes(&section.records));
+        let new = self.digests.insert(digest);
+        if new {
+            self.absorb_records(&section.meta, section.records, bytes);
+        }
+        new
     }
 
     /// Reconstructs the merged bundle: full meta, records grouped by task
@@ -250,7 +254,7 @@ impl PartialGraph {
     /// of [`TraceBundle::all_tasks`].
     fn ordering(&self) -> Vec<TaskKey> {
         let mut tasks = self.meta.task_order.clone();
-        let mut seen: HashSet<TaskKey> = tasks.iter().cloned().collect();
+        let mut seen: SymbolSet<TaskKey> = tasks.iter().cloned().collect();
         for t in &self.arrival {
             if seen.insert(t.clone()) {
                 tasks.push(t.clone());
@@ -302,15 +306,37 @@ impl PartialGraph {
         }
     }
 
+    /// Absorbs a section's records under `meta`, the section's meta (the
+    /// records' bundle's own is ignored); `bytes` is their
+    /// [`Self::section_bytes`].
+    fn absorb_records(&mut self, meta: &TraceMeta, records: TraceBundle, bytes: usize) {
+        self.retained += bytes;
+        let TraceBundle {
+            vol, vfd, files, ..
+        } = records;
+        self.absorb_meta(meta);
+        for r in vfd.iter().filter(|r| r.kind.moves_data()) {
+            let e = self.file_extent.entry(r.file.symbol()).or_default();
+            *e = (*e).max(r.offset.saturating_add(r.len));
+        }
+        self.vfd_total += vfd.len();
+        self.record_files
+            .extend(files.iter().map(|r| r.file.symbol()));
+        self.record_total += vfd.len() + vol.len() + files.len();
+        self.append(vfd, |r| &r.task, |s| &mut s.vfd);
+        self.append(vol, |r| &r.task, |s| &mut s.vol);
+        self.append(files, |r| &r.task, |s| &mut s.files);
+    }
+
     /// Merges a section's meta. Only the tasks the merge appends to the
     /// order are new task nodes: the first meta's whole order, then what
     /// each later one names that is not yet present.
-    fn absorb_meta(&mut self, m: TraceMeta) {
+    fn absorb_meta(&mut self, m: &TraceMeta) {
         let known = self.meta.task_order.len();
         if self.saw_meta {
-            self.meta.merge(&m);
+            self.meta.merge(m);
         } else {
-            self.meta = m.into_first();
+            self.meta = m.clone().into_first();
             self.saw_meta = true;
         }
         self.task_nodes

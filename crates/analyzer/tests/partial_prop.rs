@@ -11,7 +11,7 @@ use dayu_trace::rng::{cases, ChaosRng};
 use dayu_trace::time::{Interval, Timestamp};
 use dayu_trace::vfd::{AccessType, FileRecord, IoKind, VfdRecord};
 use dayu_trace::vol::{ObjectDescription, ObjectKind, VolAccess, VolAccessKind, VolRecord};
-use dayu_trace::{sha256, TraceBundle, TraceMeta, TraceOrigin};
+use dayu_trace::{sha256, HeaderMemo, TraceBundle, TraceMeta, TraceOrigin};
 use std::collections::HashSet;
 
 const TASKS: [&str; 4] = ["prep", "sim", "reduce", "plot"];
@@ -345,12 +345,14 @@ fn assert_same(a: &mut PartialGraph, b: &mut PartialGraph) {
     assert_eq!(a.ftg_node_count(), b.ftg_node_count());
 }
 
-/// Absorbing each section by value leaves the partial graph that
-/// absorbing it by reference leaves, after every section, and both equal
-/// the batch build of the distinct sections in arrival order. The
-/// arrivals are a bundle's per-task sections, some cut in two so that a
-/// task's records arrive in two sections, plus one section whose records
-/// interleave two tasks, in any permutation with duplicates.
+/// Absorbing each section by value, as the ingest service does (decoded
+/// through one [`HeaderMemo`] for the stream, its meta shared with the
+/// memo), leaves the partial graph that absorbing it by reference leaves,
+/// after every section, and both equal the batch build of the distinct
+/// sections in arrival order. The arrivals are a bundle's per-task
+/// sections, some cut in two so that a task's records arrive in two
+/// sections, plus one section whose records interleave two tasks, in any
+/// permutation with duplicates.
 #[test]
 fn absorbing_by_value_equals_absorbing_by_reference() {
     cases(
@@ -376,6 +378,7 @@ fn absorbing_by_value_equals_absorbing_by_reference() {
             }
 
             let (mut by_ref, mut by_value) = (PartialGraph::new(), PartialGraph::new());
+            let mut memo = HeaderMemo::default();
             let mut seen = HashSet::new();
             let mut distinct = Vec::new();
             for s in &arrivals {
@@ -385,7 +388,9 @@ fn absorbing_by_value_equals_absorbing_by_reference() {
                     distinct.extend_from_slice(&bytes);
                 }
                 let new = by_ref.absorb_unique(digest, s);
-                assert_eq!(by_value.absorb_unique_owned(digest, s.clone()), new);
+                let shared = memo.decode_section(&bytes).unwrap();
+                let size = PartialGraph::section_bytes(&shared.records);
+                assert_eq!(by_value.absorb_unique_shared(digest, shared, size), new);
                 assert_eq!(by_value.records(), by_ref.records());
                 assert_eq!(by_value.retained_bytes(), by_ref.retained_bytes());
                 assert_eq!(by_value.ftg_node_count(), by_ref.ftg_node_count());

@@ -18,7 +18,8 @@
 //! rung's record count, its `.dtb` encode, decode and `Analysis::run`
 //! costs per record, the process's peak RSS after them, and the cost per
 //! record of absorbing the rung's per-task sections into a fresh
-//! `PartialGraph`, as the ingest service does. Analysis must stay linear:
+//! `PartialGraph`, as the ingest service does, and of ingesting them,
+//! encoded, into a fresh `Served` as one tenant. Analysis must stay linear:
 //! the cost per record at the top rung may be at most
 //! [`LADDER_RATIO_CEILING`] times the bottom rung's, timed in paired
 //! rounds ([`LADDER_GATE_ROUNDS`]).
@@ -29,6 +30,7 @@
 
 use crate::{min_filling, min_filling_from, Report, Scale};
 use dayu_analyzer::{build_ftg, build_sdg, Analysis, PartialGraph, SdgOptions};
+use dayu_served::{Budgets, Served};
 use dayu_trace::TraceBundle;
 use dayu_vfd::MemFs;
 use dayu_workflow::record;
@@ -269,6 +271,10 @@ pub struct LadderRung {
     /// into a fresh `PartialGraph`, by value as the ingest service absorbs
     /// them, nanoseconds. Each run's copies are made before its timing.
     pub absorb_ns: u64,
+    /// Fastest `Served::ingest` of the same sections, encoded outside the
+    /// timing, into a fresh service as one tenant, nanoseconds: digest,
+    /// decode through the tenant's header memo, and absorb.
+    pub served_ns: u64,
     /// Peak resident set of the process after the analysis and before the
     /// absorb, MiB (`None` where the platform does not report it).
     pub peak_rss_mb: Option<f64>,
@@ -301,6 +307,18 @@ pub fn ddmd_ladder(iterations: &[usize]) -> Ladder {
             min_filling(LADDER_MIN_RUNS, LADDER_MIN_TIME, || Analysis::run(&bundle));
         let peak_rss_mb = peak_rss_mb();
         let sections = bundle.split_per_task();
+        let encoded: Vec<Vec<u8>> = sections.iter().map(TraceBundle::to_binary_bytes).collect();
+        let (served_ns, _) = min_filling_from(
+            LADDER_MIN_RUNS,
+            LADDER_MIN_TIME,
+            || Served::new(Budgets::unlimited()),
+            |served| {
+                for s in &encoded {
+                    served.ingest("ddmd", s, None);
+                }
+                served
+            },
+        );
         let (absorb_ns, _) = min_filling_from(
             LADDER_MIN_RUNS,
             LADDER_MIN_TIME,
@@ -320,6 +338,7 @@ pub fn ddmd_ladder(iterations: &[usize]) -> Ladder {
             decode_ns,
             analysis_ns,
             absorb_ns,
+            served_ns,
             peak_rss_mb,
         });
         match &bottom_dtb {
@@ -382,8 +401,21 @@ fn add_ladder(r: &mut Report, ladder: &Ladder) {
             "ns",
         );
         r.metric(n("absorb_ns_per_record"), per_record(rung.absorb_ns), "ns");
+        r.metric(n("served_ns_per_record"), per_record(rung.served_ns), "ns");
         if let Some(mb) = rung.peak_rss_mb {
             r.metric(n("peak_rss_mb"), mb, "MiB");
+        }
+    }
+    // Reported, not gated: the top rung's served cost per record over the
+    // bottom rung's.
+    if let (Some(bottom), Some(top)) = (ladder.rungs.first(), ladder.rungs.last()) {
+        if ladder.rungs.len() > 1 {
+            let per_record = |r: &LadderRung| r.served_ns as f64 / r.records.max(1) as f64;
+            r.metric(
+                "ddmd_ladder.served_per_record_ratio",
+                per_record(top) / per_record(bottom),
+                "x",
+            );
         }
     }
     if let Some(ratio) = ladder.analysis_ratio {
@@ -465,9 +497,13 @@ mod tests {
             "decode_ns_per_record",
             "analysis_ns_per_record",
             "absorb_ns_per_record",
+            "served_ns_per_record",
         ] {
             assert!(r.metrics.contains_key(&format!("ddmd_ladder.i2.{m}")));
         }
+        assert!(r
+            .metrics
+            .contains_key("ddmd_ladder.served_per_record_ratio"));
         assert_gated(&r, &["ddmd_ladder.analysis_per_record_ratio"]);
 
         let gate = |analysis_ratio| {

@@ -20,7 +20,7 @@ use dayu_trace::vfd::IoKind;
 use dayu_workflow::{
     file_written_bytes, readers_of, to_sim_tasks, transform, RecordedRun, Schedule,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// The outcome of automatic optimization.
 pub struct AutoOutcome {
@@ -251,7 +251,11 @@ pub fn optimize_with_contracts(
     // whose tasks provably touch disjoint bytes pass even when they share
     // a file, and real collisions are rejected as extent races.
     let catalog = ExtentCatalog::from_bundle(&opt_run.bundle);
+    // Several findings on one file (or producer and consumer) each advise
+    // the same action; it is applied once.
     let mut staged: HashMap<String, ()> = HashMap::new();
+    let mut cached: HashSet<&str> = HashSet::new();
+    let mut co_scheduled: HashSet<(&str, &str)> = HashSet::new();
 
     // Rank the candidates before applying any of them: re-run the abstract
     // cost model (`plan_critical_path_bytes`) on each mechanical rewrite
@@ -282,10 +286,15 @@ pub fn optimize_with_contracts(
         let rec = &recommendations[idx];
         match &rec.action {
             Action::CoSchedule { producer, consumer } => {
+                let pair = (producer.as_str(), consumer.as_str());
+                if co_scheduled.contains(&pair) {
+                    continue;
+                }
                 match cp_gated(&mut tasks, "co_schedule", contracts, &catalog, |t| {
                     transform::co_schedule(t, producer, consumer)
                 }) {
                     Ok(()) => {
+                        co_scheduled.insert(pair);
                         // The file between them becomes node-local.
                         let node = node_of(&tasks, producer);
                         transform::place_outputs_local(
@@ -302,6 +311,9 @@ pub fn optimize_with_contracts(
                 }
             }
             Action::CacheInFastTier { target } => {
+                if !cached.insert(target.as_str()) {
+                    continue;
+                }
                 // Home the file on the fastest local tier of its busiest
                 // reader's node.
                 let readers = readers_of(&tasks, target);

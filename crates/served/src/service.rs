@@ -30,7 +30,12 @@
 //! takes the table lock while it holds a tenant lock.
 //!
 //! * The token bucket is looked at first, so a throttled section costs
-//!   neither digest nor decode. Digest and decode then run under no lock.
+//!   neither digest nor decode. Under the same lock the call takes the
+//!   tenant's [`HeaderMemo`]. Digest and decode then run under no lock,
+//!   and the memo goes back to the tenant when the section is absorbed. A
+//!   call that races another for the same tenant finds no memo and
+//!   decodes without one; the memo is a pure cache, so no result depends
+//!   on which call had it.
 //! * Each call runs the rest of the one-at-a-time pipeline in one
 //!   critical section on its tenant's lock, against exact byte and node
 //!   counts. Its quarantine report joins the log inside that section.
@@ -48,7 +53,7 @@ use dayu_analyzer::{Finding, Graph, PartialGraph, SdgOptions};
 use dayu_trace::sha256::{sha256, Digest};
 use dayu_trace::sync::lock;
 use dayu_trace::time::{Clock, RealClock, Timestamp};
-use dayu_trace::TraceBundle;
+use dayu_trace::{HeaderMemo, SharedSection, TraceBundle};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -131,6 +136,9 @@ struct Tenant {
     /// before then finds it under the tenant's lock and admits the
     /// tenant afresh.
     evicted: bool,
+    /// The header of the last section absorbed for the tenant; empty
+    /// while a call has it out.
+    memo: HeaderMemo,
 }
 
 impl Tenant {
@@ -141,6 +149,7 @@ impl Tenant {
             last_seen: now,
             stats: TenantStats::default(),
             evicted: false,
+            memo: HeaderMemo::default(),
         }
     }
 
@@ -195,26 +204,31 @@ struct Checked {
     digest: Digest,
     len: u64,
     /// The decoded section, or the byte offset and cause to quarantine.
-    decoded: Result<TraceBundle, (u64, QuarantineCause)>,
+    decoded: Result<SharedSection, (u64, QuarantineCause)>,
     /// What accepting the section adds to its tenant's retained bytes.
     bytes: usize,
+    /// The memo the section was decoded through, for its tenant.
+    memo: HeaderMemo,
 }
 
 impl Checked {
-    /// The digest check, then the guarded decode.
-    fn new(payload: &[u8], declared: Option<Digest>) -> Self {
+    /// The digest check, then the guarded decode through `memo`.
+    fn new(payload: &[u8], declared: Option<Digest>, mut memo: HeaderMemo) -> Self {
         let computed = sha256(payload);
         let decoded = match declared {
             Some(declared) if declared != computed => {
                 Err((0, QuarantineCause::DigestMismatch { declared, computed }))
             }
-            _ => decode_guarded(payload),
+            _ => decode_guarded(payload, &mut memo),
         };
         Self {
             digest: computed,
             len: payload.len() as u64,
-            bytes: decoded.as_ref().map_or(0, PartialGraph::section_bytes),
+            bytes: decoded
+                .as_ref()
+                .map_or(0, |s| PartialGraph::section_bytes(&s.records)),
             decoded,
+            memo,
         }
     }
 }
@@ -266,16 +280,20 @@ impl Served {
     pub fn ingest(&self, tenant: &str, payload: &[u8], declared: Option<Digest>) -> IngestStatus {
         let now = self.clock.now();
         let resident = lock(&self.table).tenants.get(tenant).cloned();
+        let mut memo = HeaderMemo::default();
         if let Some(slot) = &resident {
             let mut t = lock(slot);
-            // `arrive` throttles exactly when the bucket has no token.
-            if !t.evicted && !t.bucket.has_token(now) {
-                if let Err(throttled) = t.arrive(now) {
-                    return throttled;
+            if !t.evicted {
+                // `arrive` throttles exactly when the bucket has no token.
+                if !t.bucket.has_token(now) {
+                    if let Err(throttled) = t.arrive(now) {
+                        return throttled;
+                    }
                 }
+                memo = std::mem::take(&mut t.memo);
             }
         }
-        let checked = Checked::new(payload, declared);
+        let checked = Checked::new(payload, declared, memo);
         self.commit(tenant, resident, now, checked)
     }
 
@@ -360,14 +378,16 @@ impl Served {
     /// The one-at-a-time pipeline after admission, on a tenant the caller
     /// holds: count the section, take its token, quarantine it if it is
     /// corrupt, enforce the tenant's budgets, absorb it. The decoded
-    /// section moves into the tenant's graph.
+    /// section moves into the tenant's graph, and the memo it was decoded
+    /// through becomes the tenant's. A section that is not absorbed drops
+    /// its memo, so a tenant keeps no header that it did not absorb.
     fn apply(&self, t: &mut Tenant, name: &str, now: Timestamp, sec: Checked) -> IngestStatus {
         let sequence = match t.arrive(now) {
             Ok(sequence) => sequence,
             Err(throttled) => return throttled,
         };
-        let bundle = match sec.decoded {
-            Ok(bundle) => bundle,
+        let section = match sec.decoded {
+            Ok(section) => section,
             Err((offset, cause)) => {
                 let report = QuarantineReport {
                     tenant: name.to_owned(),
@@ -393,8 +413,10 @@ impl Served {
         if t.graph.ftg_node_count() >= self.budgets.max_graph_nodes {
             return t.reject("graph node");
         }
-        let records = bundle.vfd.len() + bundle.vol.len() + bundle.files.len();
-        let duplicate = !t.graph.absorb_unique_owned(sec.digest, bundle);
+        let records = &section.records;
+        let records = records.vfd.len() + records.vol.len() + records.files.len();
+        let duplicate = !t.graph.absorb_unique_shared(sec.digest, section, sec.bytes);
+        t.memo = sec.memo;
         if duplicate {
             t.stats.duplicates += 1;
         } else {
@@ -556,12 +578,16 @@ impl Served {
     }
 }
 
-/// Decodes a section behind a panic barrier. The decoder is hardened
-/// against corrupt input and should never panic; if it does anyway, the
-/// panic becomes a quarantine cause instead of taking down the service.
-fn decode_guarded(payload: &[u8]) -> Result<TraceBundle, (u64, QuarantineCause)> {
-    match catch_unwind(AssertUnwindSafe(|| dayu_trace::decode_section(payload))) {
-        Ok(Ok(bundle)) => Ok(bundle),
+/// Decodes a section through `memo` behind a panic barrier. The decoder
+/// is hardened against corrupt input and should never panic; if it does
+/// anyway, the panic becomes a quarantine cause instead of taking down the
+/// service.
+fn decode_guarded(
+    payload: &[u8],
+    memo: &mut HeaderMemo,
+) -> Result<SharedSection, (u64, QuarantineCause)> {
+    match catch_unwind(AssertUnwindSafe(|| memo.decode_section(payload))) {
+        Ok(Ok(section)) => Ok(section),
         Ok(Err(e)) => {
             let cause = if e.is_truncation() {
                 QuarantineCause::Truncated
@@ -578,5 +604,113 @@ fn decode_guarded(payload: &[u8]) -> Result<TraceBundle, (u64, QuarantineCause)>
                 .unwrap_or_else(|| "non-string panic payload".to_owned());
             Err((0, QuarantineCause::DecoderPanic(msg)))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dayu_analyzer::build_ftg;
+    use dayu_trace::ids::{FileKey, ObjectKey, TaskKey};
+    use dayu_trace::time::ManualClock;
+    use dayu_trace::vfd::{AccessType, IoKind, VfdRecord};
+
+    /// Two tasks, each writing its own file.
+    fn sections() -> Vec<Vec<u8>> {
+        let mut b = TraceBundle::new("wf");
+        for t in ["t0", "t1"] {
+            b.push_task(TaskKey::new(t));
+            b.vfd.push(VfdRecord {
+                task: TaskKey::new(t),
+                file: FileKey::new(format!("{t}.h5")),
+                object: ObjectKey::new("/d"),
+                kind: IoKind::Write,
+                offset: 0,
+                len: 4096,
+                access: AccessType::RawData,
+                start: Timestamp(1),
+                end: Timestamp(2),
+            });
+        }
+        b.split_per_task()
+            .iter()
+            .map(TraceBundle::to_binary_bytes)
+            .collect()
+    }
+
+    #[test]
+    fn a_memo_decoded_section_landing_after_eviction_admits_its_tenant_afresh() {
+        let budgets = Budgets {
+            idle_evict_ns: 0,
+            ..Budgets::default()
+        };
+        let served = Served::with_clock(budgets, Arc::new(ManualClock::new()));
+        let sections = sections();
+        assert!(served.ingest("wf", &sections[0], None).grew());
+        // The call for the second section takes the memo the first one
+        // warmed and decodes through it; its tenant is evicted before it
+        // commits.
+        let resident = lock(&served.table).tenants.get("wf").cloned();
+        let memo = std::mem::take(&mut lock(resident.as_ref().unwrap()).memo);
+        let checked = Checked::new(&sections[1], None, memo);
+        served.watchdog();
+        assert_eq!(served.evicted(), 1);
+        let status = served.commit("wf", resident, Timestamp(0), checked);
+        assert!(status.grew(), "{status:?}");
+        // The tenant holds that section alone, as after "eviction, then
+        // this section".
+        let alone = dayu_trace::decode_section(&sections[1]).unwrap();
+        assert_eq!(served.bundle("wf").unwrap(), alone);
+        assert_eq!(served.snapshot_ftg("wf").unwrap(), build_ftg(&alone));
+        assert_eq!(served.stats("wf").unwrap().sections, 1);
+        // Its memo came along: the next section decodes through it.
+        assert_ne!(memo_of(&served, "wf"), empty_memo());
+        assert!(served.ingest("wf", &sections[0], None).grew());
+    }
+
+    /// The `Debug` text of `tenant`'s memo.
+    fn memo_of(served: &Served, tenant: &str) -> String {
+        let slot = lock(&served.table).tenants.get(tenant).cloned().unwrap();
+        let memo = format!("{:?}", lock(&slot).memo);
+        memo
+    }
+
+    fn empty_memo() -> String {
+        format!("{:?}", HeaderMemo::default())
+    }
+
+    #[test]
+    fn a_tenant_keeps_the_memo_of_an_absorbed_section_only() {
+        let sections = sections();
+        let served = Served::with_clock(Budgets::default(), Arc::new(ManualClock::new()));
+        assert!(served.ingest("wf", &sections[0], None).grew());
+        assert_ne!(memo_of(&served, "wf"), empty_memo());
+        let cut = &sections[1][..sections[1].len() - 1];
+        let status = served.ingest("wf", cut, None);
+        assert!(matches!(status, IngestStatus::Quarantined(_)), "{status:?}");
+        assert_eq!(memo_of(&served, "wf"), empty_memo());
+        assert!(served.ingest("wf", &sections[1], None).grew());
+        assert_ne!(memo_of(&served, "wf"), empty_memo());
+        // A resend is absorbed as a duplicate and keeps its memo.
+        let status = served.ingest("wf", &sections[1], None);
+        assert!(matches!(
+            status,
+            IngestStatus::Accepted {
+                duplicate: true,
+                ..
+            }
+        ));
+        assert_ne!(memo_of(&served, "wf"), empty_memo());
+
+        // Past its byte budget, a tenant's sections are refused and leave
+        // it no memo.
+        let budgets = Budgets {
+            max_bytes_per_tenant: 1,
+            ..Budgets::default()
+        };
+        let served = Served::with_clock(budgets, Arc::new(ManualClock::new()));
+        assert!(served.ingest("wf", &sections[0], None).grew());
+        assert!(!served.ingest("wf", &sections[1], None).grew());
+        assert_eq!(memo_of(&served, "wf"), empty_memo());
     }
 }

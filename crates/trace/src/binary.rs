@@ -44,6 +44,18 @@
 //! errors, so the offset a failure leaves the reader at and its message
 //! do not depend on where the buffer ended. Both readers run the same
 //! frame decoders, over the `Fields` of the buffer or of the reader.
+//!
+//! **Header memo.** Every section [`TraceBundle::split_per_task`] cuts
+//! repeats the bundle's meta frame and, at the front of its string table,
+//! the names that frame uses. A [`HeaderMemo`] keeps the last section's
+//! table as symbols and the last meta frame it decoded, with the meta
+//! behind an [`Arc`]. Reading through a memo, a table entry whose bytes
+//! spell its memo entry's name takes that symbol without interning, and a
+//! meta frame takes the memo's meta when its bytes, the section version
+//! and the table entries up to the highest id the frame names all match
+//! the memo's. Those keys fix what a fresh decode builds, so the memo is a
+//! pure cache: a memo left by any earlier section yields the fresh result,
+//! and reading without one ([`stream_bundles`]) is unchanged.
 
 use crate::ids::{FileKey, ObjectKey, TaskKey};
 use crate::intern::Symbol;
@@ -54,7 +66,9 @@ use crate::vol::{
     DataType, LayoutKind, ObjectDescription, ObjectKind, VolAccess, VolAccessKind, VolRecord,
 };
 use crate::wire::{bad, read_len, read_u8, read_varint, LEN_CAP};
+use std::cell::Cell;
 use std::io::{self, BufRead, Write};
+use std::sync::Arc;
 
 /// Section magic; the trailing byte is the format version this build
 /// *writes*. The reader additionally accepts [`VERSION_V1`] through
@@ -445,13 +459,15 @@ struct Table {
     syms: Vec<Symbol>,
 }
 
-impl Table {
+/// Resolves a frame's string ids against a section's table.
+trait Names {
+    /// The symbol of table id `id`, if the table has one.
+    fn get(&self, id: u64) -> Option<Symbol>;
+
     #[inline(always)]
     fn sym<F: Fields>(&self, f: &mut F) -> Result<Symbol, F::Err> {
         let id = f.varint()?;
-        self.syms
-            .get(id as usize)
-            .copied()
+        self.get(id)
             .ok_or_else(|| F::invalid(|| format!("string id {id} out of table range")))
     }
 
@@ -462,6 +478,95 @@ impl Table {
             out.push(TaskKey::from_symbol(self.sym(f)?));
         }
         Ok(out)
+    }
+}
+
+impl Names for Table {
+    #[inline(always)]
+    fn get(&self, id: u64) -> Option<Symbol> {
+        self.syms.get(id as usize).copied()
+    }
+}
+
+/// A table that notes how far into it a frame's string ids reach.
+struct Noting<'t> {
+    table: &'t Table,
+    /// One past the highest id resolved.
+    reach: Cell<usize>,
+}
+
+impl Names for Noting<'_> {
+    fn get(&self, id: u64) -> Option<Symbol> {
+        let sym = self.table.get(id)?;
+        self.reach.set(self.reach.get().max(id as usize + 1));
+        Some(sym)
+    }
+}
+
+/// The header of the last section read through it: the string table's
+/// symbols, and the last meta frame decoded afresh with its meta. One
+/// per stream of related sections (the ingest service keeps one per
+/// tenant); see the module docs for when an entry is reused.
+#[derive(Clone, Debug, Default)]
+pub struct HeaderMemo {
+    /// The last section's string table.
+    table: Vec<Symbol>,
+    meta: Option<MemoMeta>,
+}
+
+/// A meta frame and what it decodes to.
+#[derive(Clone, Debug)]
+struct MemoMeta {
+    /// The section version it was read under.
+    version: u8,
+    /// The frame's bytes, from its tag byte.
+    frame: Vec<u8>,
+    /// Its section's table up to the highest id the frame names.
+    names: Vec<Symbol>,
+    /// The frame's meta, in [`TraceMeta::into_first`] form.
+    meta: Arc<TraceMeta>,
+}
+
+impl HeaderMemo {
+    /// The meta of the meta frame at the reader's position, read from the
+    /// memo or decoded from the reader's buffer, with the frame consumed.
+    /// `None`, consuming nothing, when no meta frame starts there or the
+    /// buffer cannot finish one: the careful reader takes it from there.
+    fn meta_frame<R: BufRead>(
+        &mut self,
+        r: &mut R,
+        t: &Table,
+        version: u8,
+    ) -> Option<Arc<TraceMeta>> {
+        let buf = r.fill_buf().ok()?;
+        if buf.first() != Some(&TAG_META) {
+            return None;
+        }
+        if let Some(m) = &self.meta {
+            if m.version == version
+                && buf.starts_with(&m.frame)
+                && t.syms.get(..m.names.len()) == Some(&m.names[..])
+            {
+                let meta = Arc::clone(&m.meta);
+                r.consume(m.frame.len());
+                return Some(meta);
+            }
+        }
+        let names = Noting {
+            table: t,
+            reach: Cell::new(0),
+        };
+        let mut f = Buffered { buf, pos: 1 };
+        let meta = Arc::new(read_meta(&mut f, &names, version).ok()?.into_first());
+        let len = f.pos;
+        self.meta = Some(MemoMeta {
+            version,
+            frame: buf[..len].to_vec(),
+            names: t.syms[..names.reach.get()].to_vec(),
+            meta: Arc::clone(&meta),
+        });
+        r.consume(len);
+        Some(meta)
     }
 }
 
@@ -501,7 +606,7 @@ fn read_field<F: Fields, T: TryFrom<u64>>(f: &mut F, what: &str) -> Result<T, F:
 
 /// The body of a meta frame; `version` says which of the later fields the
 /// section carries.
-fn read_meta<F: Fields>(f: &mut F, t: &Table, version: u8) -> Result<TraceMeta, F::Err> {
+fn read_meta<F: Fields, N: Names>(f: &mut F, t: &N, version: u8) -> Result<TraceMeta, F::Err> {
     let workflow = t.sym(f)?.as_str().to_owned();
     let page_size = f.varint()?;
     let task_order = t.tasks(f, "task order")?;
@@ -676,8 +781,10 @@ fn read_file<F: Fields>(f: &mut F, t: &Table) -> Result<FileRecord, F::Err> {
 
 /// Reads a section's magic and string table. Input that ends inside the
 /// magic is bad magic unless it holds the magic's own first bytes; then
-/// it is a trace cut short, an `UnexpectedEof` at the cut.
-fn read_header<R: BufRead>(r: &mut R) -> io::Result<(u8, Table)> {
+/// it is a trace cut short, an `UnexpectedEof` at the cut. An entry whose
+/// bytes spell the name of `last`'s entry at its position takes that
+/// symbol.
+fn read_header<R: BufRead>(r: &mut R, last: &[Symbol]) -> io::Result<(u8, Table)> {
     let mut magic = [0u8; 8];
     let mut got = 0;
     while got < magic.len() {
@@ -708,12 +815,19 @@ fn read_header<R: BufRead>(r: &mut R) -> io::Result<(u8, Table)> {
     let n = read_len(r, "string table", LEN_CAP)?;
     let mut syms = Vec::with_capacity(n.min(65536));
     let mut scratch = Vec::new();
-    for _ in 0..n {
+    for i in 0..n {
         let len = read_len(r, "string", STRING_CAP)?;
         scratch.resize(len, 0);
         r.read_exact(&mut scratch)?;
-        let s = std::str::from_utf8(&scratch).map_err(|e| bad(format!("bad utf-8: {e}")))?;
-        syms.push(Symbol::intern(s));
+        let sym = match last.get(i) {
+            Some(&sym) if sym.as_str().as_bytes() == scratch => sym,
+            _ => {
+                let s =
+                    std::str::from_utf8(&scratch).map_err(|e| bad(format!("bad utf-8: {e}")))?;
+                Symbol::intern(s)
+            }
+        };
+        syms.push(sym);
     }
     Ok((version, Table { syms }))
 }
@@ -792,7 +906,20 @@ fn careful_frame<R: BufRead, S: RecordSink>(
 /// writer emits at least one, so an empty file is a lost trace, not an
 /// empty one. A failure leaves the reader just past the bytes the careful
 /// reader consumed before giving up, wherever the reader's buffer ended.
-pub fn stream_bundles<R: BufRead, S: RecordSink>(mut r: R, sink: &mut S) -> io::Result<u64> {
+pub fn stream_bundles<R: BufRead, S: RecordSink>(r: R, sink: &mut S) -> io::Result<u64> {
+    stream_with(r, sink, None)
+}
+
+/// [`stream_bundles`], reading each section's header through `memo` when
+/// there is one: a meta it holds arrives through
+/// [`RecordSink::shared_meta`], and each section's table replaces its
+/// table. The sink sees what it would see without the memo, and the
+/// reader stops where it would.
+pub(crate) fn stream_with<R: BufRead, S: RecordSink>(
+    mut r: R,
+    sink: &mut S,
+    mut memo: Option<&mut HeaderMemo>,
+) -> io::Result<u64> {
     if r.fill_buf()?.is_empty() {
         return Err(bad("not a DaYu binary trace (empty input)"));
     }
@@ -802,7 +929,8 @@ pub fn stream_bundles<R: BufRead, S: RecordSink>(mut r: R, sink: &mut S) -> io::
     // also swallow a *partial* magic (trailing garbage, or a section cut
     // mid-header), which must be an error.
     while !r.fill_buf()?.is_empty() {
-        let (version, table) = read_header(&mut r)?;
+        let last = memo.as_deref().map_or(&[][..], |m| &m.table[..]);
+        let (version, table) = read_header(&mut r, last)?;
         loop {
             // A failed refill is left for the careful reader to meet again
             // (and to retry, if it was an interruption).
@@ -814,9 +942,18 @@ pub fn stream_bundles<R: BufRead, S: RecordSink>(mut r: R, sink: &mut S) -> io::
             if let Stop::Sink(e) = stop {
                 return Err(e);
             }
+            if let Some(memo) = memo.as_deref_mut() {
+                if let Some(meta) = memo.meta_frame(&mut r, &table, version) {
+                    sink.shared_meta(meta)?;
+                    continue;
+                }
+            }
             if !careful_frame(&mut r, &table, version, sink, &mut records)? {
                 break;
             }
+        }
+        if let Some(memo) = memo.as_deref_mut() {
+            memo.table = table.syms;
         }
     }
     Ok(records)

@@ -38,10 +38,11 @@ pub mod vfd;
 pub mod vol;
 pub mod wire;
 
+pub use binary::HeaderMemo;
 pub use context::SharedContext;
 pub use ids::{FileKey, ObjectKey, TaskKey};
 pub use intern::{Symbol, SymbolMap, SymbolSet};
-pub use section::{decode_section, SectionDecodeError};
+pub use section::{decode_section, SectionDecodeError, SharedSection};
 pub use sha256::{sha256, Sha256};
 pub use store::{RecordSink, TraceBundle, TraceMeta, TraceOrigin};
 pub use time::{Clock, ManualClock, RealClock, Timestamp};

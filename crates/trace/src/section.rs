@@ -24,11 +24,18 @@
 //! meta, so that re-merging any subset in any arrival order reconstructs
 //! the same metadata — the shape a per-task section flush produces in a
 //! live deployment.
+//!
+//! [`HeaderMemo::decode_section`] decodes a stream of such sections
+//! without decoding each one's repeated header again: it returns what
+//! [`decode_section`] returns, with the meta shared with the memo
+//! ([`SharedSection`]).
 
+use crate::binary::HeaderMemo;
 use crate::intern::{Symbol, SymbolMap};
-use crate::store::TraceBundle;
+use crate::store::{Collector, TraceBundle, TraceMeta};
 use std::fmt;
 use std::io;
+use std::sync::Arc;
 
 /// A `.dtb` section blob failed to decode.
 #[derive(Debug)]
@@ -69,6 +76,45 @@ impl std::error::Error for SectionDecodeError {
 /// [`TraceBundle::load`], an empty blob is an error, not an empty bundle,
 /// and failures report the byte offset at which decoding stopped.
 pub fn decode_section(bytes: &[u8]) -> Result<TraceBundle, SectionDecodeError> {
+    decode_with(bytes, None).map(SharedSection::into_bundle)
+}
+
+/// A section decoded through a [`HeaderMemo`]: [`decode_section`]'s
+/// bundle, with its meta behind an [`Arc`] that the memo may share.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SharedSection {
+    /// The merged meta of the blob's sections.
+    pub meta: Arc<TraceMeta>,
+    /// The records; their bundle's `meta` is left empty.
+    pub records: TraceBundle,
+}
+
+impl SharedSection {
+    /// The bundle [`decode_section`] returns for the same bytes.
+    pub fn into_bundle(self) -> TraceBundle {
+        TraceBundle {
+            meta: Arc::unwrap_or_clone(self.meta),
+            ..self.records
+        }
+    }
+}
+
+impl HeaderMemo {
+    /// [`decode_section`] through this memo: the same bundle, or the same
+    /// error at the same offset, for every input, whatever the memo holds.
+    /// A header that repeats the memo's costs a comparison of its bytes
+    /// instead of a decode, and its meta is the memo's own; the memo is
+    /// left holding this blob's last header.
+    pub fn decode_section(&mut self, bytes: &[u8]) -> Result<SharedSection, SectionDecodeError> {
+        decode_with(bytes, Some(self))
+    }
+}
+
+/// Decodes `bytes`, through `memo` if there is one.
+fn decode_with(
+    bytes: &[u8],
+    memo: Option<&mut HeaderMemo>,
+) -> Result<SharedSection, SectionDecodeError> {
     if bytes.first() != Some(&crate::binary::MAGIC[0]) {
         return Err(SectionDecodeError {
             offset: 0,
@@ -81,10 +127,14 @@ pub fn decode_section(bytes: &[u8]) -> Result<TraceBundle, SectionDecodeError> {
     // The slice itself is the reader: what it has left after a failure
     // says how far the decoder got.
     let mut rest = bytes;
-    TraceBundle::load(&mut rest).map_err(|cause| SectionDecodeError {
-        offset: (bytes.len() - rest.len()) as u64,
-        cause,
-    })
+    let mut sink = Collector::default();
+    match crate::binary::stream_with(&mut rest, &mut sink, memo) {
+        Ok(_) => Ok(sink.finish()),
+        Err(cause) => Err(SectionDecodeError {
+            offset: (bytes.len() - rest.len()) as u64,
+            cause,
+        }),
+    }
 }
 
 impl TraceBundle {
@@ -319,11 +369,28 @@ mod tests {
             crate::binary::MAGIC[7],
             "a current-version section"
         );
+        // A memo warmed by a sibling section shares the bundle's meta frame
+        // and the front of its table; every blob decodes through a copy of
+        // it to what the fresh decode gives.
+        let mut warmed = HeaderMemo::default();
+        let sibling = every_frame_bundle().split_per_task()[1].to_binary_bytes();
+        warmed.decode_section(&sibling).unwrap();
         let mut results = crate::sha256::Sha256::new();
         let mut note = |case: String, blob: &[u8]| {
-            let line = match decode_section(blob) {
-                Ok(b) => format!("{case}: ok {}\n", hex(&sha256(&b.to_jsonl_bytes()))),
-                Err(e) => format!("{case}: {} {:?} {}\n", e.offset, e.cause.kind(), e.cause),
+            let fresh = decode_section(blob);
+            let memo = warmed.clone().decode_section(blob);
+            let line = match (&fresh, memo) {
+                (Ok(b), Ok(m)) => {
+                    assert_eq!(&m.into_bundle(), b, "{case}");
+                    format!("{case}: ok {}\n", hex(&sha256(&b.to_jsonl_bytes())))
+                }
+                (Err(e), Err(m)) => {
+                    let line = format!("{case}: {} {:?} {}\n", e.offset, e.cause.kind(), e.cause);
+                    let memo = format!("{case}: {} {:?} {}\n", m.offset, m.cause.kind(), m.cause);
+                    assert_eq!(memo, line);
+                    line
+                }
+                (_, m) => panic!("{case}: fresh {fresh:?}, memo {m:?}"),
             };
             results.update(line.as_bytes());
         };

@@ -15,9 +15,11 @@
 use crate::ids::TaskKey;
 use crate::intern::SymbolSet;
 use crate::json::{self, ToJson, Writer};
+use crate::section::SharedSection;
 use crate::vfd::{FileRecord, VfdRecord};
 use crate::vol::VolRecord;
 use std::io::{self, BufRead, Write};
+use std::sync::Arc;
 
 /// Bundle-level metadata.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -171,6 +173,13 @@ fn union_sorted(set: &mut Vec<TaskKey>, more: &[TaskKey]) {
 pub trait RecordSink {
     /// One section header.
     fn meta(&mut self, meta: TraceMeta) -> io::Result<()>;
+    /// One section header that a [`crate::binary::HeaderMemo`] holds,
+    /// already in [`TraceMeta::into_first`] form, which merges as the
+    /// header itself would. Only reads through a memo deliver it; by
+    /// default the sink takes a copy through [`Self::meta`].
+    fn shared_meta(&mut self, meta: Arc<TraceMeta>) -> io::Result<()> {
+        self.meta(Arc::unwrap_or_clone(meta))
+    }
     /// One object-level (VOL) record.
     fn vol(&mut self, rec: VolRecord) -> io::Result<()>;
     /// One I/O-level (VFD) record.
@@ -179,37 +188,51 @@ pub trait RecordSink {
     fn file(&mut self, rec: FileRecord) -> io::Result<()>;
 }
 
-/// Sink that rebuilds an in-memory [`TraceBundle`], merging section metas
-/// by [`TraceMeta::merge`].
+/// Sink that rebuilds a section's records and meta in memory, merging
+/// section metas by [`TraceMeta::merge`]. The first meta is kept as it
+/// arrives, so one a [`crate::binary::HeaderMemo`] shares stays shared;
+/// only a second one copies it.
 #[derive(Default)]
-struct Collector {
-    out: TraceBundle,
-    saw_meta: bool,
+pub(crate) struct Collector {
+    meta: Option<Arc<TraceMeta>>,
+    records: TraceBundle,
+}
+
+impl Collector {
+    /// The merged meta (empty if no section arrived) and the records.
+    pub(crate) fn finish(self) -> SharedSection {
+        SharedSection {
+            meta: self.meta.unwrap_or_default(),
+            records: self.records,
+        }
+    }
 }
 
 impl RecordSink for Collector {
     fn meta(&mut self, m: TraceMeta) -> io::Result<()> {
-        if self.saw_meta {
-            self.out.meta.merge(&m);
-        } else {
-            self.out.meta = m.into_first();
-            self.saw_meta = true;
+        self.shared_meta(Arc::new(m.into_first()))
+    }
+
+    fn shared_meta(&mut self, m: Arc<TraceMeta>) -> io::Result<()> {
+        match &mut self.meta {
+            Some(merged) => Arc::make_mut(merged).merge(&m),
+            None => self.meta = Some(m),
         }
         Ok(())
     }
 
     fn vol(&mut self, rec: VolRecord) -> io::Result<()> {
-        self.out.vol.push(rec);
+        self.records.vol.push(rec);
         Ok(())
     }
 
     fn vfd(&mut self, rec: VfdRecord) -> io::Result<()> {
-        self.out.vfd.push(rec);
+        self.records.vfd.push(rec);
         Ok(())
     }
 
     fn file(&mut self, rec: FileRecord) -> io::Result<()> {
-        self.out.files.push(rec);
+        self.records.files.push(rec);
         Ok(())
     }
 }
@@ -374,7 +397,7 @@ impl TraceBundle {
     pub fn load<R: BufRead>(r: R) -> io::Result<Self> {
         let mut sink = Collector::default();
         Self::stream(r, &mut sink)?;
-        Ok(sink.out)
+        Ok(sink.finish().into_bundle())
     }
 
     /// All distinct tasks mentioned anywhere in the bundle, in task-order

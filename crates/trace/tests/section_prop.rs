@@ -12,7 +12,7 @@ use dayu_trace::vfd::{AccessType, FileRecord, IoKind, VfdRecord};
 use dayu_trace::vol::{
     DataType, LayoutKind, ObjectDescription, ObjectKind, VolAccess, VolAccessKind, VolRecord,
 };
-use dayu_trace::{decode_section, RecordSink, TraceBundle, TraceMeta};
+use dayu_trace::{decode_section, HeaderMemo, RecordSink, TraceBundle, TraceMeta};
 use std::io::{self, BufRead, Read};
 
 /// `lo..=hi` lowercase letters.
@@ -358,4 +358,64 @@ fn split_per_task_equals_per_task_filter() {
         }
         assert_eq!(b.split_per_task(), split_by_filter(&b));
     });
+}
+
+/// Decoding through a memo gives what the fresh decode gives: the same
+/// bundle, or the same error at the same offset.
+fn assert_memo_matches_fresh(memo: &mut HeaderMemo, blob: &[u8]) {
+    match (decode_section(blob), memo.decode_section(blob)) {
+        (Ok(fresh), Ok(shared)) => assert_eq!(shared.into_bundle(), fresh),
+        (Err(fresh), Err(shared)) => {
+            assert_eq!(shared.offset, fresh.offset);
+            assert_eq!(shared.cause.kind(), fresh.cause.kind());
+            assert_eq!(shared.cause.to_string(), fresh.cause.to_string());
+        }
+        (fresh, shared) => panic!("fresh {fresh:?}, memo {shared:?}"),
+    }
+}
+
+/// Interleaved tenants' `split_per_task` sections, some sent twice and
+/// corrupt ones (cut or flipped) between good ones, decode through each
+/// tenant's memo, and through one memo all tenants share, to what the
+/// fresh decode gives.
+#[test]
+fn memo_decoding_equals_fresh_decoding_across_tenants() {
+    cases(
+        "memo_decoding_equals_fresh_decoding_across_tenants",
+        96,
+        |rng| {
+            let tenants: Vec<Vec<Vec<u8>>> = (0..rng.range(1, 4))
+                .map(|i| {
+                    let mut b = arb_bundle(rng);
+                    b.meta.workflow = format!("tenant-{i}");
+                    b.split_per_task()
+                        .iter()
+                        .map(TraceBundle::to_binary_bytes)
+                        .collect()
+                })
+                .collect();
+            let mut next = vec![0usize; tenants.len()];
+            let mut memos = vec![HeaderMemo::default(); tenants.len()];
+            let mut shared = HeaderMemo::default();
+            while let Some(t) = (0..tenants.len()).find(|&t| next[t] < tenants[t].len()) {
+                let t = (t + rng.range(0, tenants.len() as u64) as usize) % tenants.len();
+                let Some(section) = tenants[t].get(next[t]) else {
+                    continue;
+                };
+                let mut blob = section.clone();
+                match rng.range(0, 6) {
+                    0 => blob.truncate(rng.range(0, blob.len() as u64) as usize),
+                    1 => {
+                        let pos = rng.range(0, blob.len() as u64) as usize;
+                        blob[pos] ^= 1 << rng.range(0, 8);
+                    }
+                    2 => next[t] = next[t].saturating_sub(1),
+                    _ => {}
+                }
+                assert_memo_matches_fresh(&mut memos[t], &blob);
+                assert_memo_matches_fresh(&mut shared, &blob);
+                next[t] += 1;
+            }
+        },
+    );
 }

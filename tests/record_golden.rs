@@ -231,7 +231,7 @@ const ANALYSIS: &[(&str, &str)] = &[
 const AUTO: &[(&str, &str)] = &[
     (
         "ddmd.applied",
-        "893279e81c3a6378c6099fd334e70067ceb2579342b9af46f5c44fba2cda431f",
+        "8da2987b289a98a65524f33d2c11eebe38d38a26d3fb1c038e8678cec4f60ffb",
     ),
     (
         "ddmd.advisories",
@@ -251,7 +251,7 @@ const AUTO: &[(&str, &str)] = &[
     ),
     (
         "pyflextrkr.applied",
-        "1f7d263860acff404f4ee8dfdd933da3abc6de580df0fb3f19e98f56f5219738",
+        "762ff7f85a83fd430580f5d2d0eb2c453760be35622e73da2fd9a21b3a93fa84",
     ),
     (
         "pyflextrkr.advisories",
@@ -474,6 +474,13 @@ fn auto_optimize_of_recorded_runs_matches_pinned_digests() {
         ),
     ] {
         let out = optimize(&run, &cluster).unwrap();
+        // Each action is applied once, however many findings advise it.
+        let distinct: std::collections::HashSet<&String> = out.applied.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            out.applied.len(),
+            "{name}: an action applied twice"
+        );
         let mut pin = |output: &str, text: String| {
             got.push((format!("{name}.{output}"), hex(&sha256(text.as_bytes()))));
         };
